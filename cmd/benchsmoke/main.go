@@ -161,27 +161,27 @@ func measureEventLoopAllocs() float64 {
 	eng := &sim.Engine{}
 	rng := uint64(1)
 	// Deterministic warm-up: one event in every calendar-ring bucket
-	// plus a far-horizon event, drained before counting, so every pooled
-	// slice has reached its steady-state capacity.
+	// plus a far-horizon event, drained before counting, so the event
+	// arena and the overflow heap have reached their steady-state size.
 	for s := sim.Cycle(0); s < 4096; s++ {
-		eng.Schedule(s, noop)
+		eng.ScheduleCall(s, sim.Call{H: noop})
 	}
-	eng.Schedule(4096+1000, noop)
+	eng.ScheduleCall(4096+1000, sim.Call{H: noop})
 	for eng.Step() {
 	}
 	batch := func() {
 		for i := 0; i < ops; i++ {
 			rng = rng*6364136223846793005 + 1442695040888963407
-			eng.Schedule(sim.Cycle(rng%6000), noop)
+			eng.ScheduleCall(sim.Cycle(rng%6000), sim.Call{H: noop, Arg: rng})
 			eng.Step()
 		}
 	}
 	return testing.AllocsPerRun(10, batch) / ops
 }
 
-// noop is the measured event body; a top-level func so scheduling it
-// allocates no closure.
-func noop() {}
+// noop is the measured event handler, the shape of a typed
+// continuation.
+func noop(uint64) {}
 
 // checkBaseline gates the current report against a committed baseline:
 // simulation throughput may regress at most maxRegress (fractional),

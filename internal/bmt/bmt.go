@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"github.com/plutus-gpu/plutus/internal/crypto/siphash"
+	"github.com/plutus-gpu/plutus/internal/dense"
 	"github.com/plutus-gpu/plutus/internal/geom"
 )
 
@@ -60,12 +61,40 @@ func (c Config) Validate() error {
 // Arity returns children per node.
 func (c Config) Arity() int { return c.NodeBytes / HashBytes }
 
+// hashes is a sparse array of recorded hashes: dense paged storage
+// plus a presence bitmap, walked in ascending index order.
+type hashes struct {
+	h   dense.U64
+	set dense.Bitmap
+}
+
+// get returns entry i, or def if none was recorded.
+//
+//simlint:hotpath
+func (hs *hashes) get(i, def uint64) uint64 {
+	if hs.set.Get(i) {
+		return hs.h.Get(i)
+	}
+	return def
+}
+
+// put records entry i.
+func (hs *hashes) put(i, h uint64) {
+	hs.h.Set(i, h)
+	hs.set.Set(i)
+}
+
 // NodeRef identifies one tree node. Level 0 is the node layer directly
 // above the counter units; the root is the single node at the top level.
 type NodeRef struct {
 	Level int
 	Index uint64
 }
+
+// maxHeight bounds a tree's node levels: every level divides the unit
+// count by the arity (at least 2), so a uint64 unit count needs at most
+// 64 of them.
+const maxHeight = 64
 
 // Tree is one partition's Bonsai Merkle Tree.
 type Tree struct {
@@ -80,15 +109,22 @@ type Tree struct {
 	bases []geom.Addr
 	// unitHashes holds the authoritative hash of each counter unit;
 	// missing entries equal defaultUnit (hash of an untouched unit).
-	unitHashes map[uint64]uint64
+	unitHashes hashes
 	// nodeHashes[l] holds the hash of each node at level l, as recorded
 	// in its parent; missing entries equal defaultNode[l].
-	nodeHashes []map[uint64]uint64
+	nodeHashes []hashes
 	//simlint:ignore snapsym constant for a given key/serialization, recomputed at construction
 	defaultUnit uint64
 	//simlint:ignore snapsym constant for a given key/serialization, recomputed at construction
 	defaultNode []uint64
 	root        uint64
+
+	// path backs the slice Path returns; nodeBuf is computeNode's
+	// serialization buffer. Both are per-call scratch.
+	//simlint:ignore snapsym per-call scratch, dead between calls
+	path [maxHeight]NodeRef
+	//simlint:ignore snapsym per-call scratch, dead between calls
+	nodeBuf []byte
 }
 
 // New builds a tree whose counter units all hash to defaultUnitHash
@@ -101,7 +137,6 @@ func New(cfg Config, defaultUnitHash uint64) (*Tree, error) {
 	t := &Tree{
 		cfg:         cfg,
 		arity:       uint64(cfg.Arity()),
-		unitHashes:  make(map[uint64]uint64),
 		defaultUnit: defaultUnitHash,
 	}
 	// Build level sizes bottom-up until a single root.
@@ -119,11 +154,9 @@ func New(cfg Config, defaultUnitHash uint64) (*Tree, error) {
 		t.bases[l] = off
 		off += geom.Addr(t.counts[l]) * geom.Addr(cfg.NodeBytes)
 	}
-	t.nodeHashes = make([]map[uint64]uint64, len(t.counts))
+	t.nodeBuf = make([]byte, 8*int(t.arity)+8)
+	t.nodeHashes = make([]hashes, len(t.counts))
 	t.defaultNode = make([]uint64, len(t.counts))
-	for l := range t.nodeHashes {
-		t.nodeHashes[l] = make(map[uint64]uint64)
-	}
 	// Default node hashes cascade: level 0 nodes hash arity default unit
 	// hashes, and so on up.
 	prev := defaultUnitHash
@@ -192,14 +225,20 @@ func (t *Tree) IsRoot(r NodeRef) bool { return r.Level == len(t.counts)-1 }
 // Path returns the chain of nodes from the level-0 node covering counter
 // unit u up to and including the root. Fetching/verifying a counter unit
 // walks this path until a node hits in the (verified) metadata cache.
+//
+// The slice aliases a buffer the tree owns (tree height is bounded, so
+// it never grows): it is valid until the next Path call on the same
+// tree, and a loop over it must not call Path on that tree again.
+//
+//simlint:hotpath
 func (t *Tree) Path(u uint64) []NodeRef {
 	if u >= t.cfg.Units {
 		panic(fmt.Sprintf("bmt: unit %d out of range %d", u, t.cfg.Units))
 	}
-	path := make([]NodeRef, 0, len(t.counts))
+	path := t.path[:len(t.counts)]
 	idx := u / t.arity
-	for l := 0; l < len(t.counts); l++ {
-		path = append(path, NodeRef{Level: l, Index: idx})
+	for l := range path {
+		path[l] = NodeRef{Level: l, Index: idx}
 		idx /= t.arity
 	}
 	return path
@@ -243,23 +282,15 @@ func (t *Tree) RefForAddr(a geom.Addr) (NodeRef, bool) {
 }
 
 // UnitHash returns the authoritative hash of counter unit u.
-func (t *Tree) UnitHash(u uint64) uint64 {
-	if h, ok := t.unitHashes[u]; ok {
-		return h
-	}
-	return t.defaultUnit
-}
+func (t *Tree) UnitHash(u uint64) uint64 { return t.unitHashes.get(u, t.defaultUnit) }
 
-func (t *Tree) nodeHash(l int, i uint64) uint64 {
-	if h, ok := t.nodeHashes[l][i]; ok {
-		return h
-	}
-	return t.defaultNode[l]
-}
+func (t *Tree) nodeHash(l int, i uint64) uint64 { return t.nodeHashes[l].get(i, t.defaultNode[l]) }
 
 // computeNode recomputes the hash of node (l, i) from its children.
+//
+//simlint:hotpath
 func (t *Tree) computeNode(l int, i uint64) uint64 {
-	buf := make([]byte, 8*int(t.arity)+8)
+	buf := t.nodeBuf
 	base := i * t.arity
 	for c := uint64(0); c < t.arity; c++ {
 		var h uint64
@@ -284,11 +315,13 @@ func (t *Tree) computeNode(l int, i uint64) uint64 {
 
 // SetUnitHash records a new hash for counter unit u (after a counter
 // write) and propagates the change to the root.
+//
+//simlint:hotpath
 func (t *Tree) SetUnitHash(u uint64, h uint64) {
 	if u >= t.cfg.Units {
 		panic(fmt.Sprintf("bmt: unit %d out of range %d", u, t.cfg.Units))
 	}
-	t.unitHashes[u] = h
+	t.unitHashes.put(u, h)
 	idx := u / t.arity
 	for l := 0; l < len(t.counts); l++ {
 		nh := t.computeNode(l, idx)
@@ -296,7 +329,7 @@ func (t *Tree) SetUnitHash(u uint64, h uint64) {
 			t.root = nh
 			break
 		}
-		t.nodeHashes[l][idx] = nh
+		t.nodeHashes[l].put(idx, nh)
 		idx /= t.arity
 	}
 }

@@ -14,18 +14,9 @@ import (
 func (t *Tree) Snapshot(enc *checkpoint.Encoder) error {
 	enc.U64(t.cfg.Units)
 	enc.U32(uint32(len(t.counts)))
-	enc.U64(uint64(len(t.unitHashes)))
-	for _, u := range checkpoint.SortedKeys(t.unitHashes) {
-		enc.U64(u)
-		enc.U64(t.unitHashes[u])
-	}
+	snapshotHashes(enc, &t.unitHashes)
 	for l := range t.nodeHashes {
-		m := t.nodeHashes[l]
-		enc.U64(uint64(len(m)))
-		for _, i := range checkpoint.SortedKeys(m) {
-			enc.U64(i)
-			enc.U64(m[i])
-		}
+		snapshotHashes(enc, &t.nodeHashes[l])
 	}
 	enc.U64(t.root)
 	return nil
@@ -42,19 +33,14 @@ func (t *Tree) Restore(dec *checkpoint.Decoder) error {
 		return fmt.Errorf("bmt: snapshot geometry (units %d, height %d) vs tree (units %d, height %d): %w",
 			units, height, t.cfg.Units, len(t.counts), checkpoint.ErrMismatch)
 	}
-	nu := dec.U64()
-	unitHashes := make(map[uint64]uint64, nu)
-	for i := uint64(0); i < nu && dec.Err() == nil; i++ {
-		u := dec.U64()
-		unitHashes[u] = dec.U64()
+	unitHashes, err := restoreHashes(dec, t.cfg.Units)
+	if err != nil {
+		return err
 	}
-	nodeHashes := make([]map[uint64]uint64, len(t.counts))
+	nodeHashes := make([]hashes, len(t.counts))
 	for l := range nodeHashes {
-		nn := dec.U64()
-		nodeHashes[l] = make(map[uint64]uint64, nn)
-		for i := uint64(0); i < nn && dec.Err() == nil; i++ {
-			idx := dec.U64()
-			nodeHashes[l][idx] = dec.U64()
+		if nodeHashes[l], err = restoreHashes(dec, t.counts[l]); err != nil {
+			return err
 		}
 	}
 	root := dec.U64()
@@ -65,4 +51,29 @@ func (t *Tree) Restore(dec *checkpoint.Decoder) error {
 	t.nodeHashes = nodeHashes
 	t.root = root
 	return nil
+}
+
+// snapshotHashes encodes the recorded entries of hs: their count, then
+// (index, hash) pairs in ascending index order.
+func snapshotHashes(enc *checkpoint.Encoder, hs *hashes) {
+	enc.U64(uint64(hs.set.Count()))
+	hs.set.ForEach(func(i uint64) {
+		enc.U64(i)
+		enc.U64(hs.h.Get(i))
+	})
+}
+
+// restoreHashes decodes what snapshotHashes wrote, rejecting indices at
+// or beyond limit (the layer's size).
+func restoreHashes(dec *checkpoint.Decoder, limit uint64) (hashes, error) {
+	var hs hashes
+	n := dec.U64()
+	for k := uint64(0); k < n && dec.Err() == nil; k++ {
+		i, h := dec.U64(), dec.U64()
+		if i >= limit && dec.Err() == nil {
+			return hashes{}, fmt.Errorf("bmt: hash index %d beyond layer size %d: %w", i, limit, checkpoint.ErrCorrupt)
+		}
+		hs.put(i, h)
+	}
+	return hs, nil
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"github.com/plutus-gpu/plutus/internal/geom"
+	"github.com/plutus-gpu/plutus/internal/sim"
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
 
@@ -56,22 +57,38 @@ type line struct {
 	lru   uint64
 }
 
-// Eviction describes a victim block leaving the cache.
+// Eviction describes a victim block leaving the cache. It is returned
+// by value; the zero Eviction (Valid == 0) means nothing was evicted.
 type Eviction struct {
-	Addr  geom.Addr // block-aligned address of the victim
+	Addr  geom.Addr       // block-aligned address of the victim
+	Valid geom.SectorMask // sectors the victim held
 	Dirty geom.SectorMask
 }
 
-// MSHR tracks an outstanding miss to one block, merging later requests.
+// MSHR is a handle on one outstanding miss. MSHR entries are pooled and
+// recycled, so the handle pairs an entry with the generation it had when
+// handed out: operations through a handle whose miss has already
+// completed (a stale fill) are no-ops even after the entry has been
+// reused for another miss. The zero MSHR refers to nothing.
 type MSHR struct {
-	Addr    geom.Addr       // block-aligned
-	Pending geom.SectorMask // sectors requested from memory so far
-	arrived geom.SectorMask // sectors whose fill data has landed
-	waiters []func()
+	e   *mshr
+	gen uint64
 }
 
-// AddWaiter registers fn to run when the fill completes.
-func (m *MSHR) AddWaiter(fn func()) { m.waiters = append(m.waiters, fn) }
+// mshr is one pooled MSHR entry, merging later requests to its block.
+type mshr struct {
+	addr    geom.Addr
+	pending geom.SectorMask // sectors requested from memory so far
+	arrived geom.SectorMask // sectors whose fill data has landed
+	gen     uint64          // incarnation; 0 while on the free list
+	waiters []sim.Call
+	// spare is the waiter list handed out by the entry's previous
+	// completion. The two lists swap at every completion, so waiters
+	// registered on a reincarnation of the entry while its caller still
+	// runs the old list never land in the slice being iterated, and
+	// neither list is ever reallocated once grown.
+	spare []sim.Call
+}
 
 // Cache is one cache instance. Create with New.
 type Cache struct {
@@ -82,7 +99,15 @@ type Cache struct {
 	//simlint:ignore snapsym derived from cfg.BlockBytes at construction
 	sectors  int // sectors per block
 	lruClock uint64
-	mshrs    map[geom.Addr]*MSHR
+	// inflight lists each set's live MSHR entries (misses in flight to
+	// one set are few, so a scan beats hashing); live counts them all.
+	//simlint:ignore snapsym in-flight misses, none whenever a snapshot is taken
+	inflight [][]*mshr
+	live     int
+	//simlint:ignore snapsym MSHR entry pool, empty of live entries whenever a snapshot is taken
+	freeMSHRs []*mshr
+	//simlint:ignore snapsym incarnation counter of the MSHR pool; only distinctness matters
+	mshrGen uint64
 	//simlint:ignore snapsym derived from cfg.MSHRs at construction
 	mshrLimit int
 	Stats     stats.CacheStats
@@ -103,7 +128,7 @@ func New(cfg Config) (*Cache, error) {
 		sets:      sets,
 		setMask:   geom.Addr(nSets - 1),
 		sectors:   cfg.BlockSize / geom.SectorSize,
-		mshrs:     make(map[geom.Addr]*MSHR),
+		inflight:  make([][]*mshr, nSets),
 		mshrLimit: cfg.MSHRs,
 	}, nil
 }
@@ -142,9 +167,22 @@ func (c *Cache) MaskFor(a geom.Addr) geom.SectorMask {
 // AllMask selects every sector of a block in this cache's geometry.
 func (c *Cache) AllMask() geom.SectorMask { return 1<<c.sectors - 1 }
 
+func (c *Cache) setIndex(block geom.Addr) geom.Addr {
+	return (block / geom.Addr(c.cfg.BlockSize)) & c.setMask
+}
+
 func (c *Cache) setOf(block geom.Addr) []line {
-	idx := (block / geom.Addr(c.cfg.BlockSize)) & c.setMask
-	return c.sets[idx]
+	return c.sets[c.setIndex(block)]
+}
+
+// inflightFor returns the live MSHR entry for block, or nil.
+func (c *Cache) inflightFor(block geom.Addr) *mshr {
+	for _, m := range c.inflight[c.setIndex(block)] {
+		if m.addr == block {
+			return m
+		}
+	}
+	return nil
 }
 
 func (c *Cache) find(block geom.Addr) *line {
@@ -193,9 +231,12 @@ func (o Outcome) String() string {
 // Lookup checks for addr's sectors given by mask (in this cache's
 // geometry) and updates LRU and statistics. On Miss it returns the mask of
 // sectors that must be fetched and the MSHR tracking them (already
-// registered). On MissMerged the returned MSHR is the existing one to
-// attach a waiter to. onDone (nullable) is registered on the MSHR.
-func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone func()) (Outcome, geom.SectorMask, *MSHR) {
+// registered). On MissMerged the returned MSHR is the existing one.
+// onDone (nullable) is registered as a waiter on the MSHR in both cases;
+// it is copied, so the pointer need not outlive the call.
+//
+//simlint:hotpath
+func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone *sim.Call) (Outcome, geom.SectorMask, MSHR) {
 	block := c.blockAddr(addr)
 	ln := c.find(block)
 	if ln != nil && ln.valid&mask == mask {
@@ -205,7 +246,7 @@ func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone 
 			ln.dirty |= mask
 		}
 		c.Stats.Hits++
-		return Hit, 0, nil
+		return Hit, 0, MSHR{}
 	}
 	var present geom.SectorMask
 	if ln != nil {
@@ -215,69 +256,123 @@ func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone 
 	}
 	need := mask &^ present
 
-	if m, ok := c.mshrs[block]; ok {
-		still := need &^ m.Pending
+	if m := c.inflightFor(block); m != nil {
+		if onDone != nil {
+			m.waiters = append(m.waiters, *onDone)
+		}
+		still := need &^ m.pending
 		if still == 0 {
-			if onDone != nil {
-				m.AddWaiter(onDone)
-			}
 			c.Stats.MSHRMerges++
-			return MissMerged, 0, m
+			return MissMerged, 0, MSHR{m, m.gen}
 		}
 		// Partially covered: extend the MSHR with the extra sectors; the
 		// caller issues a memory request for just those.
-		m.Pending |= still
-		if onDone != nil {
-			m.AddWaiter(onDone)
-		}
+		m.pending |= still
 		c.Stats.Misses++
-		return Miss, still, m
+		return Miss, still, MSHR{m, m.gen}
 	}
-	if len(c.mshrs) >= c.mshrLimit {
-		return MissNoMSHR, need, nil
+	if c.live >= c.mshrLimit {
+		return MissNoMSHR, need, MSHR{}
 	}
-	m := &MSHR{Addr: block, Pending: need}
+	m := c.allocMSHR(block, need)
 	if onDone != nil {
-		m.AddWaiter(onDone)
+		m.waiters = append(m.waiters, *onDone)
 	}
-	c.mshrs[block] = m
 	c.Stats.Misses++
-	return Miss, need, m
+	return Miss, need, MSHR{m, m.gen}
 }
+
+// allocMSHR takes an entry from the pool (growing it only while fewer
+// entries exist than have ever been in flight at once) and registers it
+// for block.
+//
+//simlint:hotpath
+func (c *Cache) allocMSHR(block geom.Addr, need geom.SectorMask) *mshr {
+	var m *mshr
+	if n := len(c.freeMSHRs); n > 0 {
+		m = c.freeMSHRs[n-1]
+		c.freeMSHRs = c.freeMSHRs[:n-1]
+	} else {
+		m = newMSHR()
+	}
+	c.mshrGen++
+	m.addr, m.pending, m.arrived, m.gen = block, need, 0, c.mshrGen
+	si := c.setIndex(block)
+	c.inflight[si] = append(c.inflight[si], m)
+	c.live++
+	return m
+}
+
+// newMSHR grows the pool by one entry; out of line, so the one-time
+// allocation stays out of the hot bodies it would be inlined into.
+//
+//go:noinline
+func newMSHR() *mshr { return &mshr{} }
 
 // Fill installs all of the MSHR's pending sectors at once
 // (allocate-on-fill), returning any eviction needed to make room plus the
 // waiters to resume. markDirty makes the filled sectors dirty immediately
 // (fill-from-write). Use FillSectors when fill data arrives piecemeal.
-func (c *Cache) Fill(m *MSHR, markDirty bool) ([]Eviction, []func()) {
-	evs, _, w := c.FillSectors(m, m.Pending, markDirty)
-	return evs, w
+func (c *Cache) Fill(m MSHR, markDirty bool) (Eviction, []sim.Call) {
+	if m.e == nil || m.e.gen != m.gen {
+		return Eviction{}, nil
+	}
+	ev, _, w := c.FillSectors(m, m.e.pending, markDirty)
+	return ev, w
 }
 
 // FillSectors records the arrival of some of an MSHR's sectors. The
-// sectors are installed immediately; the MSHR completes — is deallocated
-// and its waiters returned — only once every pending sector has arrived,
-// so a fill for an MSHR that was extended after this memory request was
-// issued cannot prematurely retire the extension. Extra arrivals after
-// completion are no-ops.
-func (c *Cache) FillSectors(m *MSHR, mask geom.SectorMask, markDirty bool) (evs []Eviction, done bool, waiters []func()) {
-	if cur, live := c.mshrs[m.Addr]; !live || cur != m {
-		// Stale completion: the MSHR already finished.
-		return nil, false, nil
+// sectors are installed immediately; the MSHR completes — returns to the
+// pool, handing back its waiters — only once every pending sector has
+// arrived, so a fill for an MSHR that was extended after this memory
+// request was issued cannot prematurely retire the extension. Fills
+// through a stale handle (the miss already completed) are no-ops.
+//
+// The returned waiter slice stays intact until the entry completes again,
+// which needs another fill event: callers run it before returning to the
+// event loop.
+//
+//simlint:hotpath
+func (c *Cache) FillSectors(m MSHR, mask geom.SectorMask, markDirty bool) (ev Eviction, done bool, waiters []sim.Call) {
+	e := m.e
+	if e == nil || e.gen != m.gen {
+		return Eviction{}, false, nil
 	}
-	m.arrived |= mask & m.Pending
-	evs = c.install(m.Addr, mask&m.Pending, markDirty)
-	if m.arrived != m.Pending {
-		return evs, false, nil
+	e.arrived |= mask & e.pending
+	ev = c.install(e.addr, mask&e.pending, markDirty)
+	if e.arrived != e.pending {
+		return ev, false, nil
 	}
-	delete(c.mshrs, m.Addr)
-	waiters = m.waiters
-	m.waiters = nil
-	return evs, true, waiters
+	c.retire(e)
+	e.gen = 0
+	waiters = e.waiters
+	clear(e.spare) // release the previous completion's continuations
+	e.waiters, e.spare = e.spare[:0], waiters
+	c.freeMSHRs = append(c.freeMSHRs, e)
+	return ev, true, waiters
+}
+
+// retire removes a completed entry from its set's in-flight list.
+//
+//simlint:hotpath
+func (c *Cache) retire(e *mshr) {
+	si := c.setIndex(e.addr)
+	list := c.inflight[si]
+	for i, m := range list {
+		if m == e {
+			last := len(list) - 1
+			list[i], list[last] = list[last], nil
+			c.inflight[si] = list[:last]
+			break
+		}
+	}
+	c.live--
 }
 
 // install merges sectors into an existing line or allocates a victim.
-func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Eviction {
+//
+//simlint:hotpath
+func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) Eviction {
 	c.lruClock++
 	if ln := c.find(block); ln != nil {
 		ln.valid |= mask
@@ -285,7 +380,7 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Evi
 			ln.dirty |= mask
 		}
 		ln.lru = c.lruClock
-		return nil
+		return Eviction{}
 	}
 	set := c.setOf(block)
 	victim := &set[0]
@@ -298,13 +393,13 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Evi
 			victim = &set[i]
 		}
 	}
-	var evs []Eviction
+	var ev Eviction
 	if victim.valid != 0 {
 		c.Stats.Evictions++
 		if victim.dirty != 0 {
 			c.Stats.DirtyEvictions++
 		}
-		evs = append(evs, Eviction{Addr: victim.tag, Dirty: victim.dirty})
+		ev = Eviction{Addr: victim.tag, Valid: victim.valid, Dirty: victim.dirty}
 	}
 	victim.tag = block
 	victim.valid = mask
@@ -313,12 +408,14 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) []Evi
 		victim.dirty = mask
 	}
 	victim.lru = c.lruClock
-	return evs
+	return ev
 }
 
 // Insert places sectors directly (no MSHR), used for write-allocate paths
 // in the metadata engines where the "fill" data is produced on-chip.
-func (c *Cache) Insert(addr geom.Addr, mask geom.SectorMask, dirty bool) []Eviction {
+//
+//simlint:hotpath
+func (c *Cache) Insert(addr geom.Addr, mask geom.SectorMask, dirty bool) Eviction {
 	return c.install(c.blockAddr(addr), mask, dirty)
 }
 
@@ -366,20 +463,11 @@ func (c *Cache) Invalidate(addr geom.Addr) geom.SectorMask {
 	return 0
 }
 
-// MSHRFor returns the in-flight MSHR for addr's block, if any.
-func (c *Cache) MSHRFor(addr geom.Addr) *MSHR {
-	m, ok := c.mshrs[c.blockAddr(addr)]
-	if !ok {
-		return nil
-	}
-	return m
-}
-
 // InflightMisses returns the number of allocated MSHRs.
-func (c *Cache) InflightMisses() int { return len(c.mshrs) }
+func (c *Cache) InflightMisses() int { return c.live }
 
 // FreeMSHRs returns the number of unallocated MSHR entries.
-func (c *Cache) FreeMSHRs() int { return c.mshrLimit - len(c.mshrs) }
+func (c *Cache) FreeMSHRs() int { return c.mshrLimit - c.live }
 
 // WalkDirty visits every dirty (block, mask) pair; used to flush at
 // simulation end so writeback traffic is fully accounted.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/plutus-gpu/plutus/internal/geom"
+	"github.com/plutus-gpu/plutus/internal/sim"
 )
 
 func small(t *testing.T) *Cache {
@@ -39,12 +40,12 @@ func TestMissFillHit(t *testing.T) {
 	c := small(t)
 	mask := c.MaskFor(0x1000)
 	out, need, m := c.Lookup(0x1000, mask, false, nil)
-	if out != Miss || need != mask || m == nil {
+	if out != Miss || need != mask || m == (MSHR{}) {
 		t.Fatalf("first lookup: %v need=%04b", out, need)
 	}
-	evs, _ := c.Fill(m, false)
-	if len(evs) != 0 {
-		t.Fatalf("fill into empty cache evicted %v", evs)
+	ev, _ := c.Fill(m, false)
+	if ev.Valid != 0 {
+		t.Fatalf("fill into empty cache evicted %+v", ev)
 	}
 	out, _, _ = c.Lookup(0x1000, mask, false, nil)
 	if out != Hit {
@@ -74,19 +75,20 @@ func TestSectoredPartialPresence(t *testing.T) {
 func TestMSHRMerging(t *testing.T) {
 	c := small(t)
 	done := 0
-	_, _, m := c.Lookup(0x3000, 0b0001, false, func() { done++ })
-	out, _, m2 := c.Lookup(0x3000, 0b0001, false, func() { done++ })
+	waiter := &sim.Call{Fn: func() { done++ }}
+	_, _, m := c.Lookup(0x3000, 0b0001, false, waiter)
+	out, _, m2 := c.Lookup(0x3000, 0b0001, false, waiter)
 	if out != MissMerged || m2 != m {
 		t.Fatalf("second lookup: %v, want merged into same MSHR", out)
 	}
 	// A different sector of the same block extends the MSHR.
-	out, need, m3 := c.Lookup(0x3020, 0b0010, false, func() { done++ })
+	out, need, m3 := c.Lookup(0x3020, 0b0010, false, waiter)
 	if out != Miss || need != 0b0010 || m3 != m {
 		t.Fatalf("extend lookup: %v need=%04b", out, need)
 	}
 	_, waiters := c.Fill(m, false)
 	for _, w := range waiters {
-		w()
+		w.Run()
 	}
 	if done != 3 {
 		t.Fatalf("waiters run = %d, want 3", done)
@@ -105,7 +107,7 @@ func TestMSHRExhaustion(t *testing.T) {
 		}
 	}
 	out, _, m := c.Lookup(0x9000, 0b0001, false, nil)
-	if out != MissNoMSHR || m != nil {
+	if out != MissNoMSHR || m != (MSHR{}) {
 		t.Fatalf("5th miss: %v, want MissNoMSHR", out)
 	}
 }
@@ -121,15 +123,132 @@ func TestEvictionLRUAndDirty(t *testing.T) {
 	// Touch addr 0 so it is MRU; victim should be 512.
 	c.Lookup(0, 0b0001, false, nil)
 	_, _, m := c.Lookup(addrs[4], 0b0001, false, nil)
-	evs, _ := c.Fill(m, false)
-	if len(evs) != 1 || evs[0].Addr != 512 {
-		t.Fatalf("eviction = %+v, want victim 512", evs)
+	ev, _ := c.Fill(m, false)
+	if ev.Valid != 0b1111 || ev.Addr != 512 {
+		t.Fatalf("eviction = %+v, want victim 512", ev)
 	}
-	if evs[0].Dirty != 0b1111 {
-		t.Fatalf("victim dirty = %04b, want all", evs[0].Dirty)
+	if ev.Dirty != 0b1111 {
+		t.Fatalf("victim dirty = %04b, want all", ev.Dirty)
 	}
 	if c.Stats.DirtyEvictions != 1 {
 		t.Errorf("DirtyEvictions = %d", c.Stats.DirtyEvictions)
+	}
+}
+
+// A completed MSHR entry returns to the pool and is reused by the next
+// miss; a late fill through the old handle must not touch the new
+// incarnation.
+func TestRecycledMSHRIgnoresStaleFill(t *testing.T) {
+	c := small(t)
+	_, _, old := c.Lookup(0x1000, 0b0001, false, nil)
+	if _, done, _ := c.FillSectors(old, 0b0001, false); !done {
+		t.Fatal("single-sector fill did not complete its MSHR")
+	}
+	ran := 0
+	out, _, cur := c.Lookup(0x2000, 0b0001, false, &sim.Call{Fn: func() { ran++ }})
+	if out != Miss || cur.e != old.e {
+		t.Fatalf("second miss: %v, want Miss on the recycled entry", out)
+	}
+	ev, done, waiters := c.FillSectors(old, 0b0001, false)
+	if ev != (Eviction{}) || done || waiters != nil {
+		t.Fatalf("stale fill acted: ev=%+v done=%v waiters=%d", ev, done, len(waiters))
+	}
+	if c.Probe(0x2000) != 0 || c.InflightMisses() != 1 {
+		t.Fatalf("stale fill disturbed the live miss: probe=%04b inflight=%d", c.Probe(0x2000), c.InflightMisses())
+	}
+	if _, w := c.Fill(old, false); w != nil {
+		t.Fatal("Fill through a stale handle returned waiters")
+	}
+	_, done, waiters = c.FillSectors(cur, 0b0001, false)
+	if !done || len(waiters) != 1 {
+		t.Fatalf("live fill: done=%v waiters=%d", done, len(waiters))
+	}
+	waiters[0].Run()
+	if ran != 1 {
+		t.Fatalf("live waiter ran %d times", ran)
+	}
+}
+
+// Waiters run from a completed MSHR may miss again and so reincarnate
+// the same pooled entry; what they register there must never land in
+// the waiter slice still being iterated.
+func TestWaitersRegisteredDuringWaiterLoopDoNotAlias(t *testing.T) {
+	c := MustNew(Config{Name: "one", SizeBytes: 2048, BlockSize: 128, Ways: 4, MSHRs: 1})
+	var order []uint64
+	record := func(id uint64) { order = append(order, id) }
+	// Grow the entry's lists first, so a reincarnation would reuse
+	// backing arrays instead of allocating fresh ones.
+	for round := 0; round < 2; round++ {
+		_, _, m := c.Lookup(0x1000, 0b0001, false, nil)
+		for k := 0; k < 8; k++ {
+			c.Lookup(0x1000, 0b0001, false, &sim.Call{H: record})
+		}
+		c.FillSectors(m, 0b0001, false)
+		c.Invalidate(0x1000)
+	}
+	order = nil
+
+	_, _, m := c.Lookup(0x1000, 0b0001, false, nil)
+	for id := uint64(1); id <= 3; id++ {
+		c.Lookup(0x1000, 0b0001, false, &sim.Call{H: record, Arg: id})
+	}
+	_, done, waiters := c.FillSectors(m, 0b0001, false)
+	if !done {
+		t.Fatal("fill did not complete")
+	}
+	var next MSHR
+	for i, w := range waiters {
+		w.Run()
+		if i == 0 {
+			// The first waiter misses on another block: with one MSHR,
+			// the pool must hand back the entry just completed.
+			_, _, next = c.Lookup(0x2000, 0b0001, false, &sim.Call{H: record, Arg: 100})
+			c.Lookup(0x2000, 0b0001, false, &sim.Call{H: record, Arg: 101})
+			if next.e != m.e {
+				t.Fatal("the single pooled entry was not reused")
+			}
+		}
+	}
+	if want := []uint64{1, 2, 3}; !equalIDs(order, want) {
+		t.Fatalf("waiter loop ran %v, want %v", order, want)
+	}
+	_, _, waiters = c.FillSectors(next, 0b0001, false)
+	for _, w := range waiters {
+		w.Run()
+	}
+	if want := []uint64{1, 2, 3, 100, 101}; !equalIDs(order, want) {
+		t.Fatalf("after the second fill ran %v, want %v", order, want)
+	}
+}
+
+func equalIDs(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// A warmed cache's miss/fill cycle — MSHR allocation, waiter
+// registration, completion and eviction — allocates nothing.
+func TestMissFillSteadyStateZeroAllocs(t *testing.T) {
+	c := small(t)
+	waiter := &sim.Call{H: func(uint64) {}}
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			a := geom.Addr(i * 512)
+			_, _, m := c.Lookup(a, c.MaskFor(a), false, waiter)
+			c.Lookup(a, c.MaskFor(a), false, waiter)
+			c.FillSectors(m, c.MaskFor(a), i%2 == 0)
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(20, cycle); got != 0 {
+		t.Fatalf("steady-state miss/fill allocates %.1f times per 64 misses", got)
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 // counters — in fixed set/way order. Configuration is not encoded; the
 // restoring side rebuilds the cache from the same Config and Restore
 // cross-checks the geometry. The cache must be quiescent: outstanding
-// MSHRs hold closures that cannot be serialized, so snapshotting with
-// in-flight misses returns ErrNotQuiescent.
+// MSHRs hold continuations that cannot be serialized, so snapshotting
+// with in-flight misses returns ErrNotQuiescent.
 func (c *Cache) Snapshot(enc *checkpoint.Encoder) error {
-	if len(c.mshrs) != 0 {
+	if c.live != 0 {
 		return fmt.Errorf("cache %q: %d in-flight MSHRs: %w",
-			c.cfg.Name, len(c.mshrs), checkpoint.ErrNotQuiescent)
+			c.cfg.Name, c.live, checkpoint.ErrNotQuiescent)
 	}
 	enc.U32(uint32(len(c.sets)))
 	enc.U32(uint32(c.cfg.Ways))
@@ -41,7 +41,7 @@ func (c *Cache) Snapshot(enc *checkpoint.Encoder) error {
 // Restore decodes state written by Snapshot into a freshly built cache
 // of the same configuration.
 func (c *Cache) Restore(dec *checkpoint.Decoder) error {
-	if len(c.mshrs) != 0 {
+	if c.live != 0 {
 		return fmt.Errorf("cache %q: restore into a cache with in-flight MSHRs: %w",
 			c.cfg.Name, checkpoint.ErrNotQuiescent)
 	}

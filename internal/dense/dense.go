@@ -46,6 +46,18 @@ func (b *Bitmap) Get(i uint64) bool {
 }
 
 func (b *Bitmap) page(p uint64) []uint64 {
+	if p < uint64(len(b.pages)) && b.pages[p] != nil {
+		return b.pages[p]
+	}
+	return b.grow(p)
+}
+
+// grow materializes page p. It stays out of line so that Set, inlined
+// into allocation-free hot paths, keeps its one-time page allocation
+// out of their bodies.
+//
+//go:noinline
+func (b *Bitmap) grow(p uint64) []uint64 {
 	for uint64(len(b.pages)) <= p {
 		b.pages = append(b.pages, nil)
 	}

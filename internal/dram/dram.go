@@ -129,10 +129,18 @@ func (c *Channel) BankRow(local geom.Addr) (bank int, row uint64) {
 	return c.bankOf(local), c.rowOf(local)
 }
 
-// Access issues one 32 B transaction at partition-local address local and
-// schedules done (nullable) at its completion. It returns the completion
-// cycle. Transactions are accounted to class cl.
+// Access is AccessCall with a closure completion (nil for none), for
+// cold sites and external drivers.
 func (c *Channel) Access(local geom.Addr, write bool, cl stats.Class, done func()) sim.Cycle {
+	return c.AccessCall(local, write, cl, sim.Call{Fn: done})
+}
+
+// AccessCall issues one 32 B transaction at partition-local address
+// local and schedules done (unless zero) at its completion. It returns
+// the completion cycle. Transactions are accounted to class cl.
+//
+//simlint:hotpath
+func (c *Channel) AccessCall(local geom.Addr, write bool, cl stats.Class, done sim.Call) sim.Cycle {
 	if c.Traffic != nil {
 		if write {
 			c.Traffic.AddWrite(cl, geom.SectorSize)
@@ -181,8 +189,8 @@ func (c *Channel) Access(local geom.Addr, write bool, cl stats.Class, done func(
 		b.freeAt = colReady + c.cfg.TCCD
 	}
 
-	if done != nil {
-		c.eng.Schedule(finish-now, done)
+	if !done.IsZero() {
+		c.eng.ScheduleCall(finish-now, done)
 	}
 	return finish
 }

@@ -148,15 +148,13 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 func (g *GPU) seedWork() {
 	if g.restoredParked != nil {
 		for _, id := range g.restoredParked {
-			w := g.warps[id]
-			g.eng.Schedule(0, func() { g.fetch(w) })
+			g.fetchNext(g.warps[id], 0)
 		}
 		g.restoredParked = nil
 		return
 	}
 	for _, w := range g.warps {
-		w := w
-		g.eng.Schedule(0, func() { g.fetch(w) })
+		g.fetchNext(w, 0)
 	}
 }
 
@@ -187,10 +185,25 @@ func (g *GPU) takeCheckpoint(sink CheckpointSink) error {
 		}
 	}
 	for _, w := range g.parked {
-		w := w
-		g.eng.Schedule(0, func() { g.fetch(w) })
+		g.fetchNext(w, 0)
 	}
 	g.parked = g.parked[:0]
+	return nil
+}
+
+// liveRecordsError enforces the pools' quiescence invariant: a snapshot
+// carries no in-flight request, so no request record may be live when
+// one is taken (secmem and the caches check their own).
+func (g *GPU) liveRecordsError() error {
+	if n := g.loadRecs.Live(); n != 0 {
+		return fmt.Errorf("gpusim: %d load records live: %w", n, checkpoint.ErrNotQuiescent)
+	}
+	for _, p := range g.parts {
+		if n := p.misses.Live() + p.stores.Live(); n != 0 {
+			return fmt.Errorf("gpusim: partition %d has %d L2 request records live: %w",
+				p.id, n, checkpoint.ErrNotQuiescent)
+		}
+	}
 	return nil
 }
 
@@ -236,6 +249,9 @@ func (g *GPU) WriteSnapshot() ([]byte, error) {
 	cw, ok := g.wl.(CheckpointableWorkload)
 	if !ok {
 		return nil, fmt.Errorf("gpusim: workload %s does not support checkpointing", g.wl.Name())
+	}
+	if err := g.liveRecordsError(); err != nil {
+		return nil, err
 	}
 	f := &checkpoint.File{}
 

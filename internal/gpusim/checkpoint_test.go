@@ -226,3 +226,37 @@ func TestResumeRejectsDamage(t *testing.T) {
 		t.Fatalf("bit flip: err = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestSnapshotRefusesLiveRecords pins the pools' quiescence invariant:
+// a live request record is in-flight state the snapshot does not carry,
+// so WriteSnapshot refuses while any pool — the SM shard's load records,
+// a partition's L2 miss and store records, its secure-memory requests —
+// holds one.
+func TestSnapshotRefusesLiveRecords(t *testing.T) {
+	g, err := New(testCfg(secmem.Plutus(1<<20)), newScript(8, ckptScript()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := g.parts[0]
+	refuse := func(what string) {
+		t.Helper()
+		if _, err := g.WriteSnapshot(); !errors.Is(err, checkpoint.ErrNotQuiescent) {
+			t.Errorf("snapshot with a live %s: err = %v, want ErrNotQuiescent", what, err)
+		}
+	}
+	id := g.loadRecs.Get()
+	refuse("load record")
+	g.loadRecs.Put(id)
+	id = p.misses.Get()
+	refuse("L2 miss record")
+	p.misses.Put(id)
+	id = p.stores.Get()
+	refuse("L2 store record")
+	p.stores.Put(id)
+	p.sec.Read(0, nil)
+	refuse("secure read")
+	p.eng.Drain(0)
+	if _, err := g.WriteSnapshot(); err != nil {
+		t.Fatalf("snapshot of a quiescent GPU: %v", err)
+	}
+}

@@ -38,6 +38,12 @@ type GPU struct {
 	// coalesce for the aliasing contract.
 	coalesceBuf []geom.Addr
 
+	// loadRecs pools the SM shard's in-flight load instructions; empty
+	// whenever a snapshot is taken. h holds the SM-side continuation
+	// targets, bound once in New.
+	loadRecs sim.Pool[loadRec]
+	h        gpuHandlers
+
 	issued      uint64
 	loads       uint64
 	stores      uint64
@@ -77,7 +83,8 @@ func (g *GPU) SetIssueTap(fn func(warp int, inst Inst)) { g.issueTap = fn }
 
 // partition is one memory-side shard. All fields are owned by the
 // partition's goroutine during a window; the SM side may only reach them
-// through mailbox messages.
+// through mailbox messages, whose continuations carry their data in the
+// argument (loadArg) or by value.
 type partition struct {
 	//simlint:ignore snapsym construction wiring: the section name carries the id, New rebuilds it
 	id int
@@ -94,19 +101,75 @@ type partition struct {
 	l2Free sim.Cycle // L2 bank single-issue ladder
 	// mshrWait queues requests blocked on a full L2 MSHR file; they are
 	// released when a fill frees an entry (no polling).
-	//simlint:ignore snapsym holds closures, empty by the quiescence invariant when snapshots are taken
-	mshrWait sim.FuncQueue
+	//simlint:ignore snapsym continuations, empty by the quiescence invariant when snapshots are taken
+	mshrWait sim.CallQueue
+	// misses pools the partition's L2 misses awaiting their secure read;
+	// empty whenever a snapshot is taken.
+	//simlint:ignore snapsym request records, empty by the quiescence invariant when snapshots are taken
+	misses sim.Pool[l2Miss]
+	//simlint:ignore snapsym request records, empty by the quiescence invariant when snapshots are taken
+	stores sim.Pool[l2Store]
+	//simlint:ignore snapsym continuation targets bound by New
+	h partHandlers
+	//simlint:ignore snapsym per-call scratch behind the InitData hook
+	initBuf [geom.SectorSize]byte
 }
+
+// gpuHandlers are the SM shard's continuation targets.
+type gpuHandlers struct {
+	fetch, execute, loadDone func(uint64)
+}
+
+// partHandlers are a partition shard's continuation targets.
+type partHandlers struct {
+	load, l2Load, respond, filled, storeL2 func(uint64)
+}
+
+// loadRec is one in-flight load instruction on the SM shard.
+type loadRec struct {
+	warp      int
+	remaining int // sectors still outstanding
+}
+
+// l2Miss is one L2 miss waiting on its secure read.
+type l2Miss struct {
+	local geom.Addr
+	m     cache.MSHR
+	need  geom.SectorMask
+}
+
+// l2Store is one store sector waiting for its L2 port slot.
+type l2Store struct {
+	local geom.Addr
+	data  [geom.SectorSize]byte
+}
+
+// loadArg packs what a load sector's continuations carry across the
+// interconnect — its partition-local sector index and the SM-side load
+// record — into one argument, since neither shard may read the other's
+// records. Records take the low loadRecBits: live loads are bounded by
+// warps × MaxPendingLoads. Sectors take the rest, 32 TiB per partition.
+func loadArg(local geom.Addr, rec uint64) uint64 {
+	si := uint64(local) / geom.SectorSize
+	if si >= 1<<(64-loadRecBits) || rec >= 1<<loadRecBits {
+		panic(fmt.Sprintf("gpusim: load sector %#x / record %d exceeds the continuation argument", uint64(local), rec))
+	}
+	return si<<loadRecBits | rec
+}
+
+const loadRecBits = 24
 
 // releaseMSHRWaiters wakes as many blocked requests as there are free
 // MSHR entries (waking more would only re-park them).
+//
+//simlint:hotpath
 func (p *partition) releaseMSHRWaiters() {
 	n := p.l2.FreeMSHRs()
 	if m := p.mshrWait.Len(); n > m {
 		n = m
 	}
 	for ; n > 0; n-- {
-		p.eng.Schedule(1, p.mshrWait.Pop())
+		p.eng.ScheduleCall(1, p.mshrWait.Pop())
 	}
 }
 
@@ -121,11 +184,7 @@ type warpCtx struct {
 	active      bool
 	outstanding int  // loads in flight
 	blocked     bool // stalled on MaxPendingLoads
-}
-
-// loadCtx tracks one load instruction's outstanding sectors.
-type loadCtx struct {
-	remaining int
+	inst        Inst // fetched, waiting for its issue slot
 }
 
 // New builds a GPU running workload wl under cfg.
@@ -138,6 +197,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 		return nil, err
 	}
 	g := &GPU{cfg: cfg, il: il, wl: wl}
+	g.h = gpuHandlers{fetch: g.onFetch, execute: g.execute, loadDone: g.loadDone}
 	// The interconnect latency is the PDES lookahead; a zero-latency
 	// crossbar is modelled as one cycle so the window stays positive.
 	g.xbar = cfg.XbarLatency
@@ -158,6 +218,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 			eng:   shard.Engine(),
 			st:    &stats.Stats{},
 		}
+		part.h = partHandlers{load: part.load, l2Load: part.l2Load, respond: part.respond, filled: part.filled, storeL2: part.storeL2}
 		part.l2 = cache.MustNew(cache.Config{
 			Name:      fmt.Sprintf("l2.%d", p),
 			SizeBytes: cfg.L2PerPartition,
@@ -173,7 +234,9 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 		}
 		p := p
 		part.sec.InitData = func(local geom.Addr) []byte {
-			buf := make([]byte, geom.SectorSize)
+			// The engine copies the result at once, so the partition's
+			// scratch sector is reused across calls.
+			buf := part.initBuf[:]
 			global := il.GlobalAddr(p, local)
 			for k := 0; k < geom.SectorSize/4; k++ {
 				v := wl.MemValue(global + geom.Addr(k*4))
@@ -244,34 +307,54 @@ func (g *GPU) fetch(w *warpCtx) {
 	t := sim.Cycle(sm.slotFree / uint64(g.cfg.IssueWidth))
 	sm.slotFree++
 
-	g.eng.Schedule(t-now, func() { g.execute(w, inst) })
+	w.inst = inst
+	g.eng.ScheduleCall(t-now, sim.Call{H: g.h.execute, Arg: uint64(w.id)})
 }
 
-// execute runs one instruction at its issue slot.
-func (g *GPU) execute(w *warpCtx, inst Inst) {
+// onFetch is fetch as a continuation on warp index id.
+//
+//simlint:hotpath
+func (g *GPU) onFetch(id uint64) { g.fetch(g.warps[id]) }
+
+// fetchNext schedules warp w's next fetch after delay cycles.
+//
+//simlint:hotpath
+func (g *GPU) fetchNext(w *warpCtx, delay sim.Cycle) {
+	g.eng.ScheduleCall(delay, sim.Call{H: g.h.fetch, Arg: uint64(w.id)})
+}
+
+// execute runs warp id's fetched instruction at its issue slot.
+//
+//simlint:hotpath
+func (g *GPU) execute(id uint64) {
+	w := g.warps[id]
+	inst := w.inst
+	w.inst = Inst{}
 	switch inst.Kind {
 	case Compute:
 		c := inst.Cycles
 		if c < 1 {
 			c = 1
 		}
-		g.eng.Schedule(sim.Cycle(c), func() { g.fetch(w) })
+		g.fetchNext(w, sim.Cycle(c))
 	case Load:
 		g.loads++
 		sectors := g.coalesce(inst.Addrs)
 		if len(sectors) == 0 {
-			g.eng.Schedule(1, func() { g.fetch(w) })
+			g.fetchNext(w, 1)
 			return
 		}
 		w.outstanding++
-		lc := &loadCtx{remaining: len(sectors)}
+		rec := g.loadRecs.Get()
+		*g.loadRecs.At(rec) = loadRec{warp: w.id, remaining: len(sectors)}
 		for _, s := range sectors {
-			g.routeLoad(w, lc, s)
+			p := g.parts[g.il.Partition(s)]
+			g.smShard.Send(p.shard, g.xbar, sim.Call{H: p.h.load, Arg: loadArg(g.il.LocalAddr(s), rec)})
 		}
 		// Warps tolerate several loads in flight (intra-warp MLP); they
 		// stall only at the MLP limit.
 		if w.outstanding < g.cfg.MaxPendingLoads {
-			g.eng.Schedule(1, func() { g.fetch(w) })
+			g.fetchNext(w, 1)
 		} else {
 			w.blocked = true
 		}
@@ -281,7 +364,26 @@ func (g *GPU) execute(w *warpCtx, inst Inst) {
 			g.routeStore(w, s)
 		}
 		// Stores retire immediately (write-back hierarchy absorbs them).
-		g.eng.Schedule(1, func() { g.fetch(w) })
+		g.fetchNext(w, 1)
+	}
+}
+
+// loadDone retires one responding sector of load record rec; the last
+// one completes the load and may unblock its warp.
+//
+//simlint:hotpath
+func (g *GPU) loadDone(rec uint64) {
+	lr := g.loadRecs.At(rec)
+	lr.remaining--
+	if lr.remaining != 0 {
+		return
+	}
+	w := g.warps[lr.warp]
+	g.loadRecs.Put(rec)
+	w.outstanding--
+	if w.blocked {
+		w.blocked = false
+		g.fetch(w)
 	}
 }
 
@@ -295,8 +397,8 @@ func (g *GPU) retire(w *warpCtx) {
 // coalesce reduces per-thread addresses to their unique sectors,
 // preserving first-touch order. The result aliases a scratch buffer
 // owned by the SM shard and is only valid until the next coalesce call;
-// callers consume it synchronously (the interconnect closures capture
-// sector values, never the slice). Warps are a few dozen threads wide,
+// callers consume it synchronously (interconnect messages carry sector
+// values, never the slice). Warps are a few dozen threads wide,
 // so a linear dedup scan beats a per-instruction map.
 func (g *GPU) coalesce(addrs []geom.Addr) []geom.Addr {
 	out := g.coalesceBuf[:0]
@@ -317,134 +419,150 @@ func (g *GPU) coalesce(addrs []geom.Addr) []geom.Addr {
 	return out
 }
 
-// routeLoad sends a load sector request across the interconnect: a
-// mailbox message to the owning partition's shard, whose response is a
-// mailbox message back to the SM shard. The closure that updates warp
-// state is created here and executes on the SM shard only; the partition
-// merely carries it.
-func (g *GPU) routeLoad(w *warpCtx, lc *loadCtx, sector geom.Addr) {
-	p := g.parts[g.il.Partition(sector)]
-	local := g.il.LocalAddr(sector)
-	g.smShard.Send(p.shard, g.xbar, func() {
-		p.load(local, func() {
-			// Response crosses back to the SM.
-			p.shard.Send(g.smShard, g.xbar, func() {
-				lc.remaining--
-				if lc.remaining == 0 {
-					w.outstanding--
-					if w.blocked {
-						w.blocked = false
-						g.fetch(w)
-					}
-				}
-			})
-		})
-	})
-}
-
 // routeStore sends a store across the interconnect, materializing the
 // sector's store data from the workload on the SM side (Workload.Next
-// and StoreValue are only ever called from the SM shard).
+// and StoreValue are only ever called from the SM shard). The data
+// travels by value inside the message: nothing the SM shard owns may be
+// read on the partition's goroutine.
 func (g *GPU) routeStore(w *warpCtx, sector geom.Addr) {
 	p := g.parts[g.il.Partition(sector)]
 	local := g.il.LocalAddr(sector)
-	data := make([]byte, geom.SectorSize)
+	data := g.storeData(w.id, sector)
+	g.smShard.Send(p.shard, g.xbar, sim.Call{Fn: func() { p.store(local, data) }})
+}
+
+// storeData returns the bytes warp stores to sector.
+func (g *GPU) storeData(warp int, sector geom.Addr) (data [geom.SectorSize]byte) {
 	for k := 0; k < geom.SectorSize/4; k++ {
-		v := g.wl.StoreValue(w.id, sector+geom.Addr(k*4))
+		v := g.wl.StoreValue(warp, sector+geom.Addr(k*4))
 		data[k*4] = byte(v)
 		data[k*4+1] = byte(v >> 8)
 		data[k*4+2] = byte(v >> 16)
 		data[k*4+3] = byte(v >> 24)
 	}
-	g.smShard.Send(p.shard, g.xbar, func() { p.store(local, data) })
+	return data
 }
 
-// load services a load sector at the partition's L2.
-func (p *partition) load(local geom.Addr, respond func()) {
+// load services a load sector at the partition's L2 (arg from loadArg).
+//
+//simlint:hotpath
+func (p *partition) load(arg uint64) {
 	now := p.eng.Now()
 	t := now
 	if p.l2Free > t {
 		t = p.l2Free
 	}
 	p.l2Free = t + 1
-	p.eng.Schedule(t-now, func() { p.l2Load(local, respond) })
+	p.eng.ScheduleCall(t-now, sim.Call{H: p.h.l2Load, Arg: arg})
 }
 
-func (p *partition) l2Load(local geom.Addr, respond func()) {
-	g := p.gpu
-	mask := geom.MaskFor(local)
-	out, need, m := p.l2.Lookup(local, mask, false, nil)
+// l2Load looks a load sector up in the L2 once it has its port slot. A
+// miss starts the secure read; hits and merged misses only wait.
+//
+//simlint:hotpath
+func (p *partition) l2Load(arg uint64) {
+	local := geom.Addr(arg>>loadRecBits) * geom.SectorSize
+	respond := sim.Call{H: p.h.respond, Arg: arg & (1<<loadRecBits - 1)}
+	out, need, m := p.l2.Lookup(local, geom.MaskFor(local), false, &respond)
 	switch out {
 	case cache.Hit:
-		p.eng.Schedule(g.cfg.L2HitLatency, respond)
-	case cache.MissMerged:
-		m.AddWaiter(respond)
+		p.eng.ScheduleCall(p.gpu.cfg.L2HitLatency, respond)
 	case cache.Miss:
-		m.AddWaiter(respond)
-		p.sec.Read(local, func(res secmem.ReadResult) {
-			sa := geom.SectorAddr(local)
-			// A store may have raced ahead of this fill; its dirty data
-			// is newer than what memory returned.
-			if p.l2.DirtyMask(sa)&geom.MaskFor(sa) == 0 {
-				copy(p.l2data.Put(uint64(sa)/geom.SectorSize), res.Data)
-			}
-			evs, done, waiters := p.l2.FillSectors(m, need, false)
-			p.handleL2Evictions(evs)
-			if done {
-				for _, fn := range waiters {
-					fn()
-				}
-				p.releaseMSHRWaiters()
-			}
-		})
+		id := p.misses.Get()
+		*p.misses.At(id) = l2Miss{local: local, m: m, need: need}
+		p.sec.ReadCall(local, sim.Call{H: p.h.filled, Arg: id})
 	case cache.MissNoMSHR:
-		p.mshrWait.Push(func() { p.l2Load(local, respond) })
+		p.mshrWait.Push(sim.Call{H: p.h.l2Load, Arg: arg})
+	}
+	// MissMerged: Lookup registered respond on the in-flight MSHR.
+}
+
+// respond sends load record rec's sector response back across the
+// interconnect.
+//
+//simlint:hotpath
+func (p *partition) respond(rec uint64) {
+	g := p.gpu
+	p.shard.Send(g.smShard, g.xbar, sim.Call{H: g.h.loadDone, Arg: rec})
+}
+
+// filled installs the secure read of L2 miss id and resumes the MSHR's
+// waiters once the block's pending sectors have all arrived.
+//
+//simlint:hotpath
+func (p *partition) filled(id uint64) {
+	ms := *p.misses.At(id)
+	p.misses.Put(id)
+	// A store may have raced ahead of this fill; its dirty data is newer
+	// than what memory returned.
+	if p.l2.DirtyMask(ms.local)&geom.MaskFor(ms.local) == 0 {
+		copy(p.l2data.Put(uint64(ms.local)/geom.SectorSize), p.sec.Completed().Data)
+	}
+	ev, done, waiters := p.l2.FillSectors(ms.m, ms.need, false)
+	p.handleL2Eviction(ev)
+	if done {
+		for _, w := range waiters {
+			w.Run()
+		}
+		p.releaseMSHRWaiters()
 	}
 }
 
-// store services a store sector: write-allocate without fetch (coalesced
-// GPU stores cover whole sectors).
-func (p *partition) store(local geom.Addr, data []byte) {
+// store queues a store sector for the partition's L2 port.
+func (p *partition) store(local geom.Addr, data [geom.SectorSize]byte) {
 	now := p.eng.Now()
 	t := now
 	if p.l2Free > t {
 		t = p.l2Free
 	}
 	p.l2Free = t + 1
-	p.eng.Schedule(t-now, func() {
-		mask := geom.MaskFor(local)
-		// Stores must not allocate MSHRs (nothing will ever fill them):
-		// hit → mark dirty in place; miss → write-allocate without fetch
-		// (coalesced GPU stores cover whole sectors).
-		if p.l2.Probe(local)&mask == mask {
-			p.l2.MarkDirty(local, mask)
-			p.l2.Stats.Hits++
-		} else {
-			p.l2.Stats.Misses++
-			evs := p.l2.Insert(local, mask, true)
-			p.handleL2Evictions(evs)
-		}
-		copy(p.l2data.Put(uint64(geom.SectorAddr(local))/geom.SectorSize), data)
-	})
+	id := p.stores.Get()
+	*p.stores.At(id) = l2Store{local: local, data: data}
+	p.eng.ScheduleCall(t-now, sim.Call{H: p.h.storeL2, Arg: id})
 }
 
-// handleL2Evictions writes back dirty sectors of evicted L2 blocks.
-func (p *partition) handleL2Evictions(evs []cache.Eviction) {
-	for _, ev := range evs {
-		for s := 0; s < geom.SectorsPerBlock; s++ {
-			sa := ev.Addr + geom.Addr(s*geom.SectorSize)
-			si := uint64(sa) / geom.SectorSize
-			data, resident := p.l2data.Lookup(si)
-			if ev.Dirty.Has(s) {
-				if !resident {
-					panic(fmt.Sprintf("gpusim: dirty L2 sector %#x has no data", sa))
-				}
-				// Writeback copies the sector before returning, so handing
-				// it a slice aliasing the dense store is safe to delete.
-				p.sec.Writeback(sa, data, nil)
+// storeL2 services store record id: write-allocate without fetch
+// (coalesced GPU stores cover whole sectors).
+//
+//simlint:hotpath
+func (p *partition) storeL2(id uint64) {
+	st := p.stores.At(id)
+	local := st.local
+	mask := geom.MaskFor(local)
+	// Stores must not allocate MSHRs (nothing will ever fill them):
+	// hit → mark dirty in place; miss → write-allocate without fetch.
+	if p.l2.Probe(local)&mask == mask {
+		p.l2.MarkDirty(local, mask)
+		p.l2.Stats.Hits++
+	} else {
+		p.l2.Stats.Misses++
+		p.handleL2Eviction(p.l2.Insert(local, mask, true))
+	}
+	copy(p.l2data.Put(uint64(geom.SectorAddr(local))/geom.SectorSize), st.data[:])
+	p.stores.Put(id)
+}
+
+// handleL2Eviction writes back the dirty sectors of an evicted L2 block
+// (if ev is one) and drops its data.
+//
+//simlint:hotpath
+func (p *partition) handleL2Eviction(ev cache.Eviction) {
+	if ev.Valid == 0 {
+		return
+	}
+	for s := 0; s < geom.SectorsPerBlock; s++ {
+		sa := ev.Addr + geom.Addr(s*geom.SectorSize)
+		si := uint64(sa) / geom.SectorSize
+		data, resident := p.l2data.Lookup(si)
+		if ev.Dirty.Has(s) {
+			if !resident {
+				panic(fmt.Sprintf("gpusim: dirty L2 sector %#x has no data", sa))
 			}
-			p.l2data.Delete(si)
+			// Writeback copies the sector before returning, so handing
+			// it a slice aliasing the dense store is safe to delete.
+			p.sec.WritebackCall(sa, data, sim.Call{})
 		}
+		p.l2data.Delete(si)
 	}
 }
 
@@ -466,8 +584,7 @@ func (p *partition) flushL2() {
 func (g *GPU) RunDebug(progress func(events, now, issued uint64, active int)) *stats.Stats {
 	defer g.cluster.Close()
 	for _, w := range g.warps {
-		w := w
-		g.eng.Schedule(0, func() { g.fetch(w) })
+		g.fetchNext(w, 0)
 	}
 	var n, lastReport uint64
 	for {

@@ -7,36 +7,170 @@ import (
 	"github.com/plutus-gpu/plutus/internal/cache"
 	"github.com/plutus-gpu/plutus/internal/counters"
 	"github.com/plutus-gpu/plutus/internal/geom"
+	"github.com/plutus-gpu/plutus/internal/sim"
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
 
-// join is a completion barrier: run fires then once every registered arm
-// has completed. Arms may be added only before Seal.
-type join struct {
-	n      int
+// request is one in-flight secure read or writeback: the state its
+// continuation handlers share as it moves through the datapath. Records
+// live in the engine's pool and a handler's Call.Arg is the record index
+// (see sim.Pool), so no hop allocates.
+//
+// A request joins its memory activity through one completion counter:
+// every fetch it starts arms the join, and once acquisition is sealed the
+// last completion runs the next stage (see joined). The serial
+// compact-overflow path runs a second, nested join of its own.
+type request struct {
+	local   geom.Addr
+	write   bool
+	freshOK bool // counter verification has not failed
+
+	arms   int32
 	sealed bool
-	then   func()
+	// The serial compact-overflow join: phase 1 while the compact unit is
+	// in flight, phase 2 while the original unit is; 0 when unused.
+	subArms   int32
+	subSealed bool
+	subPhase  uint8
+
+	// MAC-verification facts, fixed at decrypt time.
+	stale, mismatch, tainted bool
+
+	pt   [geom.SectorSize]byte // write data, or the decrypted read
+	done sim.Call              // typed continuation (ReadCall, WritebackCall)
+	fn   func(ReadResult)      // closure continuation (Read)
 }
 
-func (j *join) arm() func() {
-	j.n++
-	return j.done
+// metaOp is one pooled metadata operation: a sector fill landing in a
+// metadata cache, a tree-node update waiting for its sector, or a fetch
+// parked on a full MSHR file.
+type metaOp struct {
+	mc   *cache.Cache
+	m    cache.MSHR
+	addr geom.Addr
+	mask geom.SectorMask
+	cl   stats.Class
+	done sim.Call
 }
 
-func (j *join) done() {
-	j.n--
-	if j.n == 0 && j.sealed {
-		j.then()
+// handlers are the engine's continuation targets, bound once in New so
+// that building a Call never allocates a method value.
+type handlers struct {
+	arm, decrypted, macFetched, macChecked   func(uint64)
+	writeEncrypted, writeDone, nosecReadDone func(uint64)
+	metaFill, nodeFetched, refetch           func(uint64)
+}
+
+func (e *Engine) bindHandlers() {
+	e.h = handlers{
+		arm:            e.onArm,
+		decrypted:      e.onDecrypted,
+		macFetched:     e.onMACFetched,
+		macChecked:     e.onMACChecked,
+		writeEncrypted: e.onWriteEncrypted,
+		writeDone:      e.finishWrite,
+		nosecReadDone:  e.onNoSecReadDone,
+		metaFill:       e.onMetaFill,
+		nodeFetched:    e.onNodeFetched,
+		refetch:        e.onRefetch,
+	}
+}
+
+// arm registers one more outstanding completion on request id's join
+// (sub selects the serial compact-overflow join) and returns the
+// continuation that retires it.
+//
+//simlint:hotpath
+func (e *Engine) arm(id uint64, sub bool) sim.Call {
+	r := e.reqs.At(id)
+	if sub {
+		r.subArms++
+		return sim.Call{H: e.h.arm, Arg: id<<1 | 1}
+	}
+	r.arms++
+	return sim.Call{H: e.h.arm, Arg: id << 1}
+}
+
+// onArm retires one join arm; arg is the request index shifted left one
+// bit, with the low bit selecting the serial join.
+//
+//simlint:hotpath
+func (e *Engine) onArm(arg uint64) {
+	id := arg >> 1
+	r := e.reqs.At(id)
+	if arg&1 != 0 {
+		r.subArms--
+		if r.subArms == 0 && r.subSealed {
+			e.subJoined(id)
+		}
+		return
+	}
+	r.arms--
+	if r.arms == 0 && r.sealed {
+		e.joined(id)
 	}
 }
 
 // seal marks arm registration complete; if everything already finished,
-// the continuation runs immediately.
-func (j *join) seal() {
-	j.sealed = true
-	if j.n == 0 {
-		j.then()
+// the next stage runs immediately.
+//
+//simlint:hotpath
+func (e *Engine) seal(id uint64) {
+	r := e.reqs.At(id)
+	r.sealed = true
+	if r.arms == 0 {
+		e.joined(id)
 	}
+}
+
+// joined runs a request's next stage once its memory activity is done:
+// reads decrypt, counter-mode writes commit, ssm writes have landed.
+//
+//simlint:hotpath
+func (e *Engine) joined(id uint64) {
+	r := e.reqs.At(id)
+	switch {
+	case !r.write:
+		// Data and counters have arrived; decrypt, then verify.
+		e.eng.ScheduleCall(e.cfg.AESLatency, sim.Call{H: e.h.decrypted, Arg: id})
+	case e.cfg.SSM:
+		e.finishWrite(id)
+	default:
+		if !r.freshOK {
+			// The counter fetched for this write failed freshness
+			// verification. The controller raises the alarm; the write
+			// itself still commits, rewriting the unit with fresh state
+			// (see dirtyOriginalCounter), as real hardware would after
+			// flagging the violation.
+			e.st.Sec.ReplayDetected++
+			e.st.Sec.Verdicts.Record(stats.VerdictDetectedByBMT)
+		}
+		e.commitWrite(id)
+	}
+}
+
+// subSeal seals the serial join's current phase.
+func (e *Engine) subSeal(id uint64) {
+	r := e.reqs.At(id)
+	r.subSealed = true
+	if r.subArms == 0 {
+		e.subJoined(id)
+	}
+}
+
+// subJoined advances the serial compact-overflow path: once the compact
+// unit is on-chip (phase 1) the original counter unit is fetched; once
+// that lands (phase 2) the path retires its arm on the outer join.
+func (e *Engine) subJoined(id uint64) {
+	r := e.reqs.At(id)
+	if r.subPhase == 1 {
+		r.subPhase, r.subSealed = 2, false
+		e.fetchCounterUnit(e.sectorIdx(r.local), id, true)
+		e.subSeal(id)
+		return
+	}
+	r.subPhase = 0
+	e.onArm(id << 1)
 }
 
 // ReadResult reports a completed secure read.
@@ -51,84 +185,130 @@ type ReadResult struct {
 }
 
 // Pending returns the number of in-flight requests (for drain loops).
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return e.reqs.Live() }
 
 // Read performs a secure read of the 32 B sector at partition-local
-// address local, invoking done with the plaintext when all security
-// checks complete.
+// address local, invoking done (nullable) with the plaintext when all
+// security checks complete. The result's Data is the caller's to keep.
 func (e *Engine) Read(local geom.Addr, done func(ReadResult)) {
-	local = geom.SectorAddr(local)
-	e.pending++
-	finish := func(r ReadResult) {
-		e.pending--
-		if done != nil {
-			done(r)
-		}
-	}
-
-	if e.cfg.NoSecurity {
-		e.ch.Access(local, false, stats.Data, func() {
-			// No verification exists: a read of attacker-mutated data
-			// succeeds and returns the corruption — the baseline's
-			// defining failure.
-			if e.taintData.Get(e.sectorIdx(local)) {
-				e.st.Sec.TaintedReads++
-				e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
-			}
-			finish(ReadResult{Data: e.plaintextOf(local), OK: true})
-		})
-		return
-	}
-
-	if e.cfg.SSM {
-		e.ssmRead(local, finish)
-		return
-	}
-
-	freshOK := true
-	j := &join{}
-	j.then = func() {
-		// Data and counters have arrived; decrypt, then verify.
-		e.eng.Schedule(e.cfg.AESLatency, func() {
-			e.completeRead(local, freshOK, finish)
-		})
-	}
-	// Demand data fetch.
-	e.ch.Access(local, false, stats.Data, j.arm())
-	// Counter acquisition (may be free, cached, or multiple fetches).
-	e.acquireCounter(local, j, &freshOK)
-	j.seal()
+	e.read(local, sim.Call{}, done)
 }
 
-// completeRead runs the post-decrypt verification stage.
-func (e *Engine) completeRead(local geom.Addr, freshOK bool, finish func(ReadResult)) {
-	i := e.sectorIdx(local)
-	pt := e.plaintextOf(local)
-	tainted := e.taintData.Get(i)
-	if tainted {
+// ReadCall is Read with a typed continuation: when all security checks
+// complete it runs done, during which Completed reports the result.
+func (e *Engine) ReadCall(local geom.Addr, done sim.Call) {
+	e.read(local, done, nil)
+}
+
+// Completed returns the result of the read whose ReadCall continuation
+// is running. Data aliases an engine buffer and is valid only until that
+// continuation returns.
+func (e *Engine) Completed() ReadResult {
+	return ReadResult{Data: e.out[:], OK: e.outOK, ValueVerified: e.outVV}
+}
+
+//simlint:hotpath
+func (e *Engine) read(local geom.Addr, done sim.Call, fn func(ReadResult)) {
+	local = geom.SectorAddr(local)
+	id := e.reqs.Get()
+	r := e.reqs.At(id)
+	r.local, r.freshOK, r.done, r.fn = local, true, done, fn
+	if e.cfg.NoSecurity || e.cfg.SSM {
+		e.readOther(id)
+		return
+	}
+	// Demand data fetch.
+	e.ch.AccessCall(local, false, stats.Data, e.arm(id, false))
+	// Counter acquisition (may be free, cached, or multiple fetches).
+	e.acquireCounter(local, id)
+	e.seal(id)
+}
+
+// readOther starts a read under the schemes without counters: nosec's
+// bare data fetch, or ssm's share fetches.
+func (e *Engine) readOther(id uint64) {
+	local := e.reqs.At(id).local
+	if e.cfg.SSM {
+		e.ssmRead(local, id)
+		return
+	}
+	e.ch.AccessCall(local, false, stats.Data, sim.Call{H: e.h.nosecReadDone, Arg: id})
+}
+
+// onNoSecReadDone completes a nosec read. No verification exists: a read
+// of attacker-mutated data succeeds and returns the corruption — the
+// baseline's defining failure.
+func (e *Engine) onNoSecReadDone(id uint64) {
+	r := e.reqs.At(id)
+	if e.taintData.Get(e.sectorIdx(r.local)) {
+		e.st.Sec.TaintedReads++
+		e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
+	}
+	e.plaintextInto(r.pt[:], r.local)
+	e.finishRead(id, true, false)
+}
+
+// finishRead retires read id and runs its continuation.
+//
+//simlint:hotpath
+func (e *Engine) finishRead(id uint64, ok, valueVerified bool) {
+	r := e.reqs.At(id)
+	done, fn := r.done, r.fn
+	e.out, e.outOK, e.outVV = r.pt, ok, valueVerified
+	e.reqs.Put(id)
+	if fn != nil {
+		e.deliver(fn)
+		return
+	}
+	if !done.IsZero() {
+		done.Run()
+	}
+}
+
+// deliver hands the completed read to a closure continuation, in a
+// plaintext buffer of its own.
+func (e *Engine) deliver(fn func(ReadResult)) {
+	r := e.Completed()
+	r.Data = append([]byte(nil), r.Data...)
+	fn(r)
+}
+
+// onDecrypted runs the post-decrypt verification stage.
+//
+//simlint:hotpath
+func (e *Engine) onDecrypted(id uint64) {
+	if e.cfg.SSM {
+		e.ssmCompleteRead(id)
+		return
+	}
+	r := e.reqs.At(id)
+	i := e.sectorIdx(r.local)
+	e.plaintextInto(r.pt[:], r.local)
+	r.tainted = e.taintData.Get(i)
+	if r.tainted {
 		e.st.Sec.TaintedReads++
 	}
 
-	if !freshOK {
+	if !r.freshOK {
 		// Counter/tree verification already failed: replay detected.
 		e.st.Sec.ReplayDetected++
 		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByBMT)
-		finish(ReadResult{Data: pt, OK: false})
+		e.finishRead(id, false, false)
 		return
 	}
 
 	if e.vcache != nil {
-		res := e.vcache.VerifySector(pt)
+		res := e.vcache.VerifySector(r.pt[:])
 		if res.Verified {
 			e.st.Sec.ValueVerified++
-			if tainted {
+			if r.tainted {
 				// Mutated ciphertext decrypted to words that still
 				// cleared the match threshold: a false accept, the event
 				// the paper's Eq. 1 bounds.
 				e.st.Sec.Verdicts.Record(stats.VerdictAcceptedByValueCache)
 			}
-			e.vcache.ObserveSector(pt)
-			finish(ReadResult{Data: pt, OK: true, ValueVerified: true})
+			e.vcache.ObserveSector(r.pt[:])
+			e.finishRead(id, true, true)
 			return
 		}
 	}
@@ -138,66 +318,74 @@ func (e *Engine) completeRead(local geom.Addr, freshOK bool, finish func(ReadRes
 	// concurrent writeback committing while the MAC block is in flight
 	// must not affect this read's result), so snapshot it now; the fetch
 	// and MAC-engine latency that follow are purely timing.
-	stale := e.macStale.Get(i)
-	mismatch := !stale && e.currentMAC(local) != e.macs.Get(i)
-	e.fetchMeta(e.macCache, e.macAddrOf(i), e.macCache.MaskFor(e.macAddrOf(i)), stats.MAC, func() {
-		e.eng.Schedule(e.cfg.MACLatency, func() {
-			e.st.Sec.MACVerified++
-			ok := true
-			if stale {
-				// A write-guarantee sector should always value-verify;
-				// reaching the MAC path with a stale MAC means either the
-				// guarantee logic is unsound or an attacker interfered.
-				ok = false
-				e.st.Sec.TamperDetected++
-				e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
-				if debugGuarantee != nil {
-					debugGuarantee(e, local, pt)
-				}
-			} else if mismatch {
-				ok = false
-				e.st.Sec.TamperDetected++
-				e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
-			} else if tainted {
-				// Tainted data sailed through MAC comparison — the
-				// failure an integrity-enabled scheme must never produce
-				// (the differential oracle asserts this stays zero).
-				e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
-			}
-			if e.vcache != nil {
-				e.vcache.ObserveSector(pt)
-			}
-			finish(ReadResult{Data: pt, OK: ok})
-		})
-	})
+	r.stale = e.macStale.Get(i)
+	r.mismatch = !r.stale && e.currentMAC(r.local) != e.macs.Get(i)
+	ma := e.macAddrOf(i)
+	e.fetchMeta(e.macCache, ma, e.macCache.MaskFor(ma), stats.MAC, sim.Call{H: e.h.macFetched, Arg: id})
+}
+
+// onMACFetched starts the MAC engine once the MAC sector is on-chip.
+//
+//simlint:hotpath
+func (e *Engine) onMACFetched(id uint64) {
+	e.eng.ScheduleCall(e.cfg.MACLatency, sim.Call{H: e.h.macChecked, Arg: id})
+}
+
+// onMACChecked records the MAC verdict fixed at decrypt time and
+// completes the read.
+//
+//simlint:hotpath
+func (e *Engine) onMACChecked(id uint64) {
+	r := e.reqs.At(id)
+	e.st.Sec.MACVerified++
+	ok := true
+	if r.stale {
+		// A write-guarantee sector should always value-verify; reaching
+		// the MAC path with a stale MAC means either the guarantee logic
+		// is unsound or an attacker interfered.
+		ok = false
+		e.st.Sec.TamperDetected++
+		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
+		if debugGuarantee != nil {
+			debugGuarantee(e, r.local, r.pt[:])
+		}
+	} else if r.mismatch {
+		ok = false
+		e.st.Sec.TamperDetected++
+		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByMAC)
+	} else if r.tainted {
+		// Tainted data sailed through MAC comparison — the failure an
+		// integrity-enabled scheme must never produce (the differential
+		// oracle asserts this stays zero).
+		e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
+	}
+	if e.vcache != nil {
+		e.vcache.ObserveSector(r.pt[:])
+	}
+	e.finishRead(id, ok, false)
 }
 
 // Writeback performs a secure write of a dirty 32 B sector (an L2
 // eviction). done (nullable) fires when the data transaction completes.
 func (e *Engine) Writeback(local geom.Addr, data []byte, done func()) {
+	e.WritebackCall(local, data, sim.Call{Fn: done})
+}
+
+// WritebackCall is Writeback with a typed continuation (zero for none).
+// data is copied before it returns.
+//
+//simlint:hotpath
+func (e *Engine) WritebackCall(local geom.Addr, data []byte, done sim.Call) {
 	local = geom.SectorAddr(local)
 	if len(data) != geom.SectorSize {
 		panic(fmt.Sprintf("secmem: writeback of %d bytes", len(data)))
 	}
-	e.pending++
-	finish := func() {
-		e.pending--
-		if done != nil {
-			done()
-		}
-	}
-
-	if e.cfg.NoSecurity {
-		copy(e.mem.Put(e.sectorIdx(local)), data)
-		e.taintData.Clear(e.sectorIdx(local)) // overwritten: corruption gone
-		e.ch.Access(local, true, stats.Data, func() { finish() })
-		return
-	}
-
-	if e.cfg.SSM {
-		pt := make([]byte, geom.SectorSize)
-		copy(pt, data)
-		e.ssmWrite(local, pt, finish)
+	id := e.reqs.Get()
+	r := e.reqs.At(id)
+	r.local, r.write, r.freshOK, r.done = local, true, true, done
+	copy(r.pt[:], data)
+	if e.cfg.NoSecurity || e.cfg.SSM {
+		e.writeOther(id)
 		return
 	}
 
@@ -205,32 +393,53 @@ func (e *Engine) Writeback(local geom.Addr, data []byte, done func()) {
 	if e.cfg.CommonCounters {
 		e.regionWritten.Set(e.regionOf(local))
 	}
-
-	pt := make([]byte, geom.SectorSize)
-	copy(pt, data)
-
-	freshOK := true
-	j := &join{}
-	j.then = func() {
-		if !freshOK {
-			// The counter fetched for this write failed freshness
-			// verification. The controller raises the alarm; the write
-			// itself still commits, rewriting the unit with fresh state
-			// (see dirtyOriginalCounter), as real hardware would after
-			// flagging the violation.
-			e.st.Sec.ReplayDetected++
-			e.st.Sec.Verdicts.Record(stats.VerdictDetectedByBMT)
-		}
-		e.commitWrite(local, pt, finish)
-	}
 	// The counter must be on-chip (and verified) before it is bumped.
-	e.acquireCounter(local, j, &freshOK)
-	j.seal()
+	e.acquireCounter(local, id)
+	e.seal(id)
+}
+
+// writeOther starts a write under the schemes without counters.
+func (e *Engine) writeOther(id uint64) {
+	r := e.reqs.At(id)
+	if e.cfg.SSM {
+		e.ssmWrite(id)
+		return
+	}
+	i := e.sectorIdx(r.local)
+	copy(e.mem.Put(i), r.pt[:])
+	e.taintData.Clear(i) // overwritten: corruption gone
+	e.ch.AccessCall(r.local, true, stats.Data, sim.Call{H: e.h.writeDone, Arg: id})
+}
+
+// onWriteEncrypted issues the data write once encryption is done.
+//
+//simlint:hotpath
+func (e *Engine) onWriteEncrypted(id uint64) {
+	if e.cfg.SSM {
+		e.ssmWriteShares(id)
+		return
+	}
+	e.ch.AccessCall(e.reqs.At(id).local, true, stats.Data, sim.Call{H: e.h.writeDone, Arg: id})
+}
+
+// finishWrite retires write id, once its data has landed, and runs its
+// continuation.
+//
+//simlint:hotpath
+func (e *Engine) finishWrite(id uint64) {
+	done := e.reqs.At(id).done
+	e.reqs.Put(id)
+	if !done.IsZero() {
+		done.Run()
+	}
 }
 
 // commitWrite runs once the counter is available: bump it, update trees
 // and MAC, encrypt and write the data.
-func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
+func (e *Engine) commitWrite(id uint64) {
+	r := e.reqs.At(id)
+	local := r.local
+	pt := r.pt[:] // stable: nothing below starts another request
 	i := e.sectorIdx(local)
 
 	mgxDerived := e.cfg.MGX && e.mgxDerived.Get(i)
@@ -239,8 +448,7 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 	} else {
 		e.bumpCounter(local)
 	}
-	ct := e.storeCiphertext(local, pt)
-	_ = ct
+	e.storeCiphertext(local, pt)
 	// The sector's DRAM copy (and MAC, below) is rewritten wholesale:
 	// any earlier mutation of it is gone.
 	e.taintData.Clear(i)
@@ -265,7 +473,7 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 			// update the small tree. Writing the unit replaces any
 			// attacker-replayed DRAM copy with fresh state.
 			cca := e.cctrSectorAddr(i)
-			e.handleEvictions(e.cctrCache.Insert(cca, e.cctrCache.MaskFor(cca), true), stats.CompactCounter, false)
+			e.handleEviction(e.cctrCache.Insert(cca, e.cctrCache.MaskFor(cca), true), stats.CompactCounter, false)
 			cu := e.cctrUnitOf(i)
 			e.cctrReplayed.Clear(cu)
 			e.ctree.SetUnitHash(cu, e.compactUnitHash(cu))
@@ -301,13 +509,11 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 		e.setMAC(i, e.currentMAC(local))
 		e.macStale.Clear(i)
 		ma := e.macAddrOf(i)
-		e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC, false)
+		e.handleEviction(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC, false)
 	}
 
 	// Encrypt latency then the data write transaction.
-	e.eng.Schedule(e.cfg.AESLatency, func() {
-		e.ch.Access(local, true, stats.Data, func() { finish() })
-	})
+	e.eng.ScheduleCall(e.cfg.AESLatency, sim.Call{H: e.h.writeEncrypted, Arg: id})
 }
 
 // dirtyOriginalCounter marks sector i's original counter sector dirty
@@ -316,7 +522,7 @@ func (e *Engine) commitWrite(local geom.Addr, pt []byte, finish func()) {
 // of waiting for evictions.
 func (e *Engine) dirtyOriginalCounter(i uint64) {
 	ca := e.ctrSectorAddr(i)
-	e.handleEvictions(e.ctrCache.Insert(ca, e.ctrCache.MaskFor(ca), true), stats.Counter, false)
+	e.handleEviction(e.ctrCache.Insert(ca, e.ctrCache.MaskFor(ca), true), stats.Counter, false)
 	u := e.ctrUnitOf(i)
 	// Writing the unit replaces any attacker-replayed DRAM copy.
 	e.ctrReplayed.Clear(u)
@@ -374,7 +580,9 @@ func (e *Engine) bumpCounter(local geom.Addr) {
 			}
 			sa := geom.Addr((base + uint64(k)) * geom.SectorSize)
 			if _, ok := e.mem.Lookup(base + uint64(k)); ok {
-				e.overflowPlain[sa] = e.plaintextOf(sa)
+				pt := make([]byte, geom.SectorSize)
+				e.plaintextInto(pt, sa)
+				e.overflowPlain[sa] = pt
 			}
 		}
 	}
@@ -400,9 +608,12 @@ func (e *Engine) cctrFetchMask(unitAddr geom.Addr) geom.SectorMask {
 }
 
 // acquireCounter arranges for sector local's encryption counter to be
-// on-chip and verified, joining all resulting memory activity onto j.
-// freshOK is cleared if counter verification fails (replay detection).
-func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
+// on-chip and verified, joining all resulting memory activity onto
+// request id. The request's freshOK is cleared if counter verification
+// fails (replay detection).
+//
+//simlint:hotpath
+func (e *Engine) acquireCounter(local geom.Addr, id uint64) {
 	i := e.sectorIdx(local)
 
 	// mgx fast path: a derived sector's version is regenerated on-chip
@@ -426,75 +637,80 @@ func (e *Engine) acquireCounter(local geom.Addr, j *join, freshOK *bool) {
 		switch e.compact.Classify(i) {
 		case counters.ServedCompact:
 			e.st.Sec.CompactHits++
-			e.fetchCompactUnit(i, j, freshOK)
+			e.fetchCompactUnit(i, id, false)
 			return
 		case counters.ServedOverflowed:
 			e.st.Sec.CompactOverflow++
 			// Serial: discover saturation in the compact layer, then go
-			// to the original counters (the paper's double access).
-			inner := j.arm()
-			cj := &join{}
-			cj.then = func() {
-				oj := &join{then: inner}
-				e.fetchCounterUnit(i, oj, freshOK)
-				oj.seal()
-			}
-			e.fetchCompactUnit(i, cj, freshOK)
-			cj.seal()
+			// to the original counters (the paper's double access). The
+			// serial path holds one arm of the outer join until done.
+			r := e.reqs.At(id)
+			r.arms++
+			r.subArms, r.subSealed, r.subPhase = 0, false, 1
+			e.fetchCompactUnit(i, id, true)
+			e.subSeal(id)
 			return
 		default: // counters.ServedDisabled
 			e.st.Sec.CompactDisabled++
 		}
 	}
-	e.fetchCounterUnit(i, j, freshOK)
+	e.fetchCounterUnit(i, id, false)
 }
 
 // fetchCounterUnit brings sector i's original counter unit on-chip,
-// verifying it through the BMT.
-func (e *Engine) fetchCounterUnit(i uint64, j *join, freshOK *bool) {
+// verifying it through the BMT, on request id's join (sub: the serial
+// one).
+//
+//simlint:hotpath
+func (e *Engine) fetchCounterUnit(i uint64, id uint64, sub bool) {
 	u := e.ctrUnitOf(i)
 	ua := e.ctrUnitAddr(u)
 	mask := e.ctrFetchMask(ua)
 
 	before := e.ctrCache.Probe(ua) & mask
-	e.fetchMetaJoin(e.ctrCache, ua, mask, stats.Counter, j)
+	e.fetchMeta(e.ctrCache, ua, mask, stats.Counter, e.arm(id, sub))
 	if before == mask {
 		return // cache hit: already verified when it was filled
 	}
 	// Miss path: the fetched unit must be verified against the tree.
 	if !e.tree.VerifyUnit(u, e.counterUnitHash(u)) {
-		*freshOK = false
+		e.reqs.At(id).freshOK = false
 	}
 	if !e.cfg.NoTreeTraffic {
-		e.walkTree(e.tree, e.bmtCache, e.lay.bmtBase, u, stats.BMT, j, freshOK)
+		e.walkTree(e.tree, e.bmtCache, e.lay.bmtBase, u, stats.BMT, id, sub)
 	}
 }
 
 // fetchCompactUnit brings sector i's compact counter unit on-chip,
 // verifying it through the compact tree.
-func (e *Engine) fetchCompactUnit(i uint64, j *join, freshOK *bool) {
+//
+//simlint:hotpath
+func (e *Engine) fetchCompactUnit(i uint64, id uint64, sub bool) {
 	u := e.cctrUnitOf(i)
 	ua := e.cctrUnitAddr(u)
 	mask := e.cctrFetchMask(ua)
 
 	before := e.cctrCache.Probe(ua) & mask
-	e.fetchMetaJoin(e.cctrCache, ua, mask, stats.CompactCounter, j)
+	e.fetchMeta(e.cctrCache, ua, mask, stats.CompactCounter, e.arm(id, sub))
 	if before == mask {
 		return
 	}
 	if !e.ctree.VerifyUnit(u, e.compactUnitHash(u)) {
-		*freshOK = false
+		e.reqs.At(id).freshOK = false
 	}
 	if !e.cfg.NoTreeTraffic {
-		e.walkTree(e.ctree, e.cbmtCache, e.lay.cbmtBase, u, stats.CompactBMT, j, freshOK)
+		e.walkTree(e.ctree, e.cbmtCache, e.lay.cbmtBase, u, stats.CompactBMT, id, sub)
 	}
 }
 
 // walkTree performs the verification walk for counter unit u: fetch tree
 // nodes bottom-up until one hits in the (verified) metadata cache or the
 // on-chip root is reached. Fetching a node whose DRAM copy an attacker
-// corrupted fails verification against its parent and clears freshOK.
-func (e *Engine) walkTree(t *bmt.Tree, mc *cache.Cache, base geom.Addr, u uint64, cl stats.Class, j *join, freshOK *bool) {
+// corrupted fails verification against its parent and clears the
+// request's freshOK.
+//
+//simlint:hotpath
+func (e *Engine) walkTree(t *bmt.Tree, mc *cache.Cache, base geom.Addr, u uint64, cl stats.Class, id uint64, sub bool) {
 	for _, ref := range t.Path(u) {
 		if t.IsRoot(ref) {
 			break // root is on-chip: free and always trusted
@@ -507,9 +723,9 @@ func (e *Engine) walkTree(t *bmt.Tree, mc *cache.Cache, base geom.Addr, u uint64
 		}
 		e.st.Sec.BMTNodeVerifies++
 		if e.bmtTampered[na] {
-			*freshOK = false
+			e.reqs.At(id).freshOK = false
 		}
-		e.fetchMetaJoin(mc, na, nodeMask, cl, j)
+		e.fetchMeta(mc, na, nodeMask, cl, e.arm(id, sub))
 	}
 }
 
@@ -521,80 +737,97 @@ func (e *Engine) nodeFetchMask(mc *cache.Cache, nodeAddr geom.Addr) geom.SectorM
 	return mc.MaskFor(nodeAddr)
 }
 
-// fetchMetaJoin fetches (addr, mask) through metadata cache mc, arming j
-// with the completion.
-func (e *Engine) fetchMetaJoin(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, j *join) {
-	e.fetchMeta2(mc, addr, mask, cl, j.arm())
-}
-
-// fetchMeta fetches (addr, mask) through mc and runs done when the
-// requested sectors are present.
-func (e *Engine) fetchMeta(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, done func()) {
-	e.fetchMeta2(mc, addr, mask, cl, done)
-}
-
-func (e *Engine) fetchMeta2(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, done func()) {
-	out, need, m := mc.Lookup(addr, mask, false, nil)
+// fetchMeta fetches (addr, mask) through metadata cache mc and runs done
+// when the requested sectors are present.
+//
+//simlint:hotpath
+func (e *Engine) fetchMeta(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, done sim.Call) {
+	out, need, m := mc.Lookup(addr, mask, false, &done)
 	switch out {
 	case cache.Hit:
-		e.eng.Schedule(0, done)
-	case cache.MissMerged:
-		m.AddWaiter(done)
+		e.eng.ScheduleCall(0, done)
 	case cache.Miss:
-		m.AddWaiter(done)
 		e.issueMetaFill(mc, m, addr, need, cl)
 	case cache.MissNoMSHR:
-		// Park until some fill frees an MSHR (models MSHR-full stall
-		// without polling).
-		e.mshrWait.Push(func() { e.fetchMeta2(mc, addr, mask, cl, done) })
+		e.parkMetaFetch(mc, addr, mask, cl, done)
 	}
+	// MissMerged: Lookup registered done on the in-flight MSHR.
+}
+
+// parkMetaFetch parks a fetch until some fill frees an MSHR (models the
+// MSHR-full stall without polling).
+func (e *Engine) parkMetaFetch(mc *cache.Cache, addr geom.Addr, mask geom.SectorMask, cl stats.Class, done sim.Call) {
+	id := e.metaOps.Get()
+	*e.metaOps.At(id) = metaOp{mc: mc, addr: addr, mask: mask, cl: cl, done: done}
+	e.mshrWait.Push(sim.Call{H: e.h.refetch, Arg: id})
+}
+
+// onRefetch retries a parked fetch.
+func (e *Engine) onRefetch(id uint64) {
+	op := *e.metaOps.At(id)
+	e.metaOps.Put(id)
+	e.fetchMeta(op.mc, op.addr, op.mask, op.cl, op.done)
 }
 
 // issueMetaFill issues DRAM reads for the needed sectors, filling the
 // cache as each lands; waiters resume when the MSHR completes.
-func (e *Engine) issueMetaFill(mc *cache.Cache, m *cache.MSHR, addr geom.Addr, need geom.SectorMask, cl stats.Class) {
+//
+//simlint:hotpath
+func (e *Engine) issueMetaFill(mc *cache.Cache, m cache.MSHR, addr geom.Addr, need geom.SectorMask, cl stats.Class) {
 	block := addr &^ geom.Addr(geom.BlockSize-1)
-	isTree := mc == e.bmtCache || mc == e.cbmtCache
-	need.Sectors(func(s int) {
-		sa := block + geom.Addr(s*geom.SectorSize)
-		smask := geom.SectorMask(1 << s)
-		e.ch.Access(sa, false, cl, func() {
-			evs, done, waiters := mc.FillSectors(m, smask, false)
-			e.handleEvictions(evs, cl, isTree)
-			if done {
-				for _, w := range waiters {
-					w()
-				}
-				e.releaseMSHRWaiters()
-			}
-		})
-	})
-}
-
-// handleEvictions writes back dirty sectors of evicted metadata blocks
-// and, for counter/tree blocks under lazy update, propagates the update
-// to the parent tree node.
-func (e *Engine) handleEvictions(evs []cache.Eviction, cl stats.Class, isTreeCache bool) {
-	for _, ev := range evs {
-		if ev.Dirty == 0 {
+	for s := 0; s < geom.SectorsPerBlock; s++ {
+		if !need.Has(s) {
 			continue
 		}
-		ev.Dirty.Sectors(func(s int) {
-			e.ch.Access(ev.Addr+geom.Addr(s*geom.SectorSize), true, cl, nil)
-		})
-		switch cl {
-		case stats.Counter:
-			e.propagateDirty(e.tree, e.bmtCache, e.lay.bmtBase, e.unitOfCtrAddr(ev.Addr), stats.BMT)
-		case stats.CompactCounter:
-			e.propagateDirty(e.ctree, e.cbmtCache, e.lay.cbmtBase, e.unitOfCctrAddr(ev.Addr), stats.CompactBMT)
-		case stats.BMT:
-			if isTreeCache {
-				e.propagateNodeDirty(e.tree, e.bmtCache, e.lay.bmtBase, ev.Addr, stats.BMT)
-			}
-		case stats.CompactBMT:
-			if isTreeCache {
-				e.propagateNodeDirty(e.ctree, e.cbmtCache, e.lay.cbmtBase, ev.Addr, stats.CompactBMT)
-			}
+		id := e.metaOps.Get()
+		*e.metaOps.At(id) = metaOp{mc: mc, m: m, mask: 1 << s, cl: cl}
+		e.ch.AccessCall(block+geom.Addr(s*geom.SectorSize), false, cl, sim.Call{H: e.h.metaFill, Arg: id})
+	}
+}
+
+// onMetaFill installs one landed metadata sector and, when it completes
+// its MSHR, resumes the waiters.
+//
+//simlint:hotpath
+func (e *Engine) onMetaFill(id uint64) {
+	op := *e.metaOps.At(id)
+	e.metaOps.Put(id)
+	ev, done, waiters := op.mc.FillSectors(op.m, op.mask, false)
+	e.handleEviction(ev, op.cl, op.mc == e.bmtCache || op.mc == e.cbmtCache)
+	if done {
+		for _, w := range waiters {
+			w.Run()
+		}
+		e.releaseMSHRWaiters()
+	}
+}
+
+// handleEviction writes back the dirty sectors of an evicted metadata
+// block and, for counter/tree blocks under lazy update, propagates the
+// update to the parent tree node.
+//
+//simlint:hotpath
+func (e *Engine) handleEviction(ev cache.Eviction, cl stats.Class, isTreeCache bool) {
+	if ev.Dirty == 0 {
+		return
+	}
+	for s := 0; s < geom.SectorsPerBlock; s++ {
+		if ev.Dirty.Has(s) {
+			e.ch.AccessCall(ev.Addr+geom.Addr(s*geom.SectorSize), true, cl, sim.Call{})
+		}
+	}
+	switch cl {
+	case stats.Counter:
+		e.propagateDirty(e.tree, e.bmtCache, e.lay.bmtBase, e.unitOfCtrAddr(ev.Addr), stats.BMT)
+	case stats.CompactCounter:
+		e.propagateDirty(e.ctree, e.cbmtCache, e.lay.cbmtBase, e.unitOfCctrAddr(ev.Addr), stats.CompactBMT)
+	case stats.BMT:
+		if isTreeCache {
+			e.propagateNodeDirty(e.tree, e.bmtCache, e.lay.bmtBase, ev.Addr, stats.BMT)
+		}
+	case stats.CompactBMT:
+		if isTreeCache {
+			e.propagateNodeDirty(e.ctree, e.cbmtCache, e.lay.cbmtBase, ev.Addr, stats.CompactBMT)
 		}
 	}
 }
@@ -635,13 +868,20 @@ func (e *Engine) markNodeDirty(mc *cache.Cache, na geom.Addr, cl stats.Class) {
 	if mc.MarkDirty(na, mask) {
 		return
 	}
-	e.fetchMeta2(mc, na, mask, cl, func() {
-		if !mc.MarkDirty(na, mask) {
-			// Filled and already evicted again (cache thrash): charge the
-			// update write directly rather than loop.
-			e.ch.Access(geom.SectorAddr(na), true, cl, nil)
-		}
-	})
+	id := e.metaOps.Get()
+	*e.metaOps.At(id) = metaOp{mc: mc, addr: na, mask: mask, cl: cl}
+	e.fetchMeta(mc, na, mask, cl, sim.Call{H: e.h.nodeFetched, Arg: id})
+}
+
+// onNodeFetched dirties a tree-node sector once its fetch has landed.
+func (e *Engine) onNodeFetched(id uint64) {
+	op := *e.metaOps.At(id)
+	e.metaOps.Put(id)
+	if !op.mc.MarkDirty(op.addr, op.mask) {
+		// Filled and already evicted again (cache thrash): charge the
+		// update write directly rather than loop.
+		e.ch.Access(geom.SectorAddr(op.addr), true, op.cl, nil)
+	}
 }
 
 // propagateNodeDirty handles a dirty tree-node eviction: its parent node

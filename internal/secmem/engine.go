@@ -144,27 +144,43 @@ type Engine struct {
 	runCtrs []uint64
 
 	// mshrWait queues metadata fetches blocked on a full MSHR file.
-	mshrWait sim.FuncQueue
+	//simlint:ignore snapsym continuations, empty by the quiescence invariant when snapshots are taken
+	mshrWait sim.CallQueue
+
+	// reqs pools the in-flight reads and writebacks, metaOps the
+	// in-flight metadata fills and tree-node updates. Both are empty at
+	// every drained epoch boundary, which Snapshot asserts.
+	//simlint:ignore snapsym request records, empty by the quiescence invariant when snapshots are taken
+	reqs sim.Pool[request]
+	//simlint:ignore snapsym request records, empty by the quiescence invariant when snapshots are taken
+	metaOps sim.Pool[metaOp]
+	//simlint:ignore snapsym continuation targets bound by New
+	h handlers
+	// out, outOK and outVV hold the result of the read whose typed
+	// continuation is running (see Completed).
+	//simlint:ignore snapsym per-call scratch, dead between drained epochs
+	out [geom.SectorSize]byte
+	//simlint:ignore snapsym per-call scratch, dead between drained epochs
+	outOK, outVV bool
 
 	// hashScratch is the reusable serialization buffer for unit hashing
 	// (the hottest per-write path).
 	//simlint:ignore snapsym per-operation scratch, dead between drained epochs
 	hashScratch []byte
-
-	// pending tracks outstanding requests for drain logic.
-	pending int
 }
 
 // releaseMSHRWaiters wakes a bounded batch of metadata fetches parked on
 // MSHR exhaustion (each fill frees one entry; waking the whole queue
 // would only re-park it).
+//
+//simlint:hotpath
 func (e *Engine) releaseMSHRWaiters() {
 	n := e.mshrWait.Len()
 	if n > 8 {
 		n = 8
 	}
 	for ; n > 0; n-- {
-		e.eng.Schedule(1, e.mshrWait.Pop())
+		e.eng.ScheduleCall(1, e.mshrWait.Pop())
 	}
 }
 
@@ -182,6 +198,7 @@ func New(cfg Config, eng *sim.Engine, ch *dram.Channel, st *stats.Stats) (*Engin
 		bmtTampered:   make(map[geom.Addr]bool),
 		overflowPlain: make(map[geom.Addr][]byte),
 	}
+	e.bindHandlers()
 	if cfg.NoSecurity {
 		return e, nil
 	}
@@ -523,25 +540,25 @@ func (e *Engine) materialize(local geom.Addr) []byte {
 	return dst
 }
 
-// plaintextOf decrypts the current DRAM image of sector local. The result
-// is a fresh buffer (it escapes into ReadResult.Data).
-func (e *Engine) plaintextOf(local geom.Addr) []byte {
+// plaintextInto decrypts the current DRAM image of sector local into
+// dst (one sector long).
+//
+//simlint:hotpath
+func (e *Engine) plaintextInto(dst []byte, local geom.Addr) {
 	local = geom.SectorAddr(local)
 	if e.cfg.SSM {
-		pt, _ := e.ssmReconstruct(e.sectorIdx(local))
-		return pt
+		e.ssmReconstruct(dst, e.sectorIdx(local))
+		return
 	}
 	ct := e.materialize(local)
-	out := make([]byte, len(ct))
 	if e.cfg.NoSecurity {
-		copy(out, ct)
-		return out
+		copy(dst, ct)
+		return
 	}
 	i := e.sectorIdx(local)
-	if err := e.enc.DecryptInto(out, ct, uint64(local), e.counterOf(i)); err != nil {
+	if err := e.enc.DecryptInto(dst, ct, uint64(local), e.counterOf(i)); err != nil {
 		panic(fmt.Sprintf("secmem: decrypt: %v", err))
 	}
-	return out
 }
 
 // storeCiphertext encrypts plaintext pt for sector local under its current
@@ -620,7 +637,7 @@ func (e *Engine) onCounterOverflow(gi uint64, sectors []uint64) {
 		e.ch.Access(local, true, stats.Data, nil)
 		if e.macCache != nil {
 			ma := e.macAddrOf(s)
-			e.handleEvictions(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC, false)
+			e.handleEviction(e.macCache.Insert(ma, e.macCache.MaskFor(ma), true), stats.MAC, false)
 		}
 	}
 }

@@ -539,3 +539,60 @@ func TestSchemeRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateReadAllocs pins the pooled read path: once a pssm or
+// plutus engine is warm (sectors materialized, pools, arena and MSHR
+// entries grown), a typed secure read allocates nothing on hits and
+// misses alike, and a closure read allocates only the plaintext buffer
+// it hands its caller.
+func TestSteadyStateReadAllocs(t *testing.T) {
+	for _, cfg := range []Config{PSSM(protected), Plutus(protected)} {
+		r := newRig(t, cfg)
+		// A stride wider than a counter block and a span far larger than
+		// the metadata caches: every pass misses in them again.
+		var addrs []geom.Addr
+		for a := geom.Addr(0); a < protected; a += 4 * geom.BlockSize {
+			addrs = append(addrs, a)
+		}
+		reads := 0
+		onRead := func(uint64) { reads++ }
+		typed := func() {
+			for i, a := range addrs {
+				r.e.ReadCall(a, sim.Call{H: onRead, Arg: uint64(i)})
+				if i%64 == 63 {
+					r.eng.Drain(0)
+				}
+			}
+			r.eng.Drain(0)
+		}
+		onResult := func(ReadResult) { reads++ }
+		closure := func() {
+			for i, a := range addrs {
+				r.e.Read(a, onResult)
+				if i%64 == 63 {
+					r.eng.Drain(0)
+				}
+			}
+			r.eng.Drain(0)
+		}
+		typed()
+		closure()
+		if got := testing.AllocsPerRun(3, typed) / float64(len(addrs)); got != 0 {
+			t.Errorf("%s: typed secure read allocates %.3f times per read", cfg.Scheme, got)
+		}
+		if got := testing.AllocsPerRun(3, closure) / float64(len(addrs)); got > 1 {
+			t.Errorf("%s: closure secure read allocates %.3f times per read, budget 1 (the plaintext)", cfg.Scheme, got)
+		}
+		if r.st.Sec.TamperDetected+r.st.Sec.ReplayDetected != 0 || r.e.Pending() != 0 {
+			t.Errorf("%s: %d alarms, %d requests still pending", cfg.Scheme,
+				r.st.Sec.TamperDetected+r.st.Sec.ReplayDetected, r.e.Pending())
+		}
+		ctrMisses := r.e.ctrCache.Stats.Misses
+		if r.e.cctrCache != nil {
+			ctrMisses += r.e.cctrCache.Stats.Misses
+		}
+		if r.e.macCache.Stats.Misses == 0 || ctrMisses == 0 {
+			t.Errorf("%s: reads never missed the MAC or counter caches; the test exercises no fills", cfg.Scheme)
+		}
+	}
+}

@@ -15,15 +15,15 @@ import (
 // are walked in ascending index order (and the one remaining map in
 // sorted key order) so identical state is identical bytes.
 //
-// The engine must be quiescent — no in-flight datapath requests and no
-// fetches parked on MSHR exhaustion — because those hold closures that
-// cannot be serialized; snapshots are taken at drained epoch boundaries.
+// The engine must be quiescent — no live request records (reads,
+// writebacks, metadata fills) and no fetches parked on MSHR exhaustion —
+// because in-flight state lives in the pools and the event queue, which
+// are not serialized; snapshots are taken at drained epoch boundaries.
 // Scratch state (overflowPlain, hashScratch, the run buffers) is dead
 // between drained epochs and is deliberately not captured.
 func (e *Engine) Snapshot(enc *checkpoint.Encoder) error {
-	if e.pending != 0 || e.mshrWait.Len() != 0 {
-		return fmt.Errorf("secmem: %d pending requests, %d MSHR waiters: %w",
-			e.pending, e.mshrWait.Len(), checkpoint.ErrNotQuiescent)
+	if err := e.quiescenceError(); err != nil {
+		return err
 	}
 	enc.U64(uint64(e.mem.Count()))
 	e.mem.ForEach(func(i uint64, rec []byte) {
@@ -96,13 +96,23 @@ func (e *Engine) Snapshot(enc *checkpoint.Encoder) error {
 	return nil
 }
 
+// quiescenceError reports in-flight state: live request records or
+// fetches parked on MSHR exhaustion.
+func (e *Engine) quiescenceError() error {
+	if n, m, w := e.reqs.Live(), e.metaOps.Live(), e.mshrWait.Len(); n+m+w != 0 {
+		return fmt.Errorf("secmem: %d pending requests, %d metadata operations, %d MSHR waiters: %w",
+			n, m, w, checkpoint.ErrNotQuiescent)
+	}
+	return nil
+}
+
 // Restore decodes state written by Snapshot into an engine freshly
 // built from the same configuration. Runtime wiring — the DRAM channel,
 // stats sink, InitData hook, and the split store's OnOverflow callback —
 // is left exactly as New installed it.
 func (e *Engine) Restore(dec *checkpoint.Decoder) error {
-	if e.pending != 0 || e.mshrWait.Len() != 0 {
-		return fmt.Errorf("secmem: restore into a busy engine: %w", checkpoint.ErrNotQuiescent)
+	if err := e.quiescenceError(); err != nil {
+		return fmt.Errorf("secmem: restore into a busy engine: %w", err)
 	}
 	var mem dense.Sectors
 	nm := dec.U64()

@@ -25,6 +25,7 @@ import (
 
 	"github.com/plutus-gpu/plutus/internal/crypto/siphash"
 	"github.com/plutus-gpu/plutus/internal/geom"
+	"github.com/plutus-gpu/plutus/internal/sim"
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
 
@@ -207,25 +208,25 @@ func (e *Engine) ssmShare0(i uint64) []byte {
 	return s
 }
 
-// ssmReconstruct rebuilds sector i's plaintext from its first k stored
-// shares and reports whether the n−k check shares are consistent with
-// them. Consistency fails exactly when some share's DRAM copy no longer
-// lies on the write-time polynomial — i.e. when anything was tampered.
-func (e *Engine) ssmReconstruct(i uint64) ([]byte, bool) {
+// ssmReconstruct rebuilds sector i's plaintext into dst from its first k
+// stored shares and reports whether the n−k check shares are consistent
+// with them. Consistency fails exactly when some share's DRAM copy no
+// longer lies on the write-time polynomial — i.e. when anything was
+// tampered.
+func (e *Engine) ssmReconstruct(dst []byte, i uint64) bool {
 	e.ssmEnsure(i)
 	k, n := e.cfg.SSMThreshold, e.cfg.SSMShares
-	shares := make([][]byte, n)
+	var shares [8][]byte // Normalize bounds n at 8
 	for r := 0; r < n; r++ {
 		s, _ := e.mem.Lookup(e.ssmSlot(r, i))
 		shares[r] = s
 	}
-	pt := make([]byte, geom.SectorSize)
 	for b := 0; b < geom.SectorSize; b++ {
 		var v byte
 		for r := 0; r < k; r++ {
 			v ^= gfMul(e.ssmRecon[r], shares[r][b])
 		}
-		pt[b] = v
+		dst[b] = v
 	}
 	ok := true
 	for c := 0; c < n-k; c++ {
@@ -241,29 +242,26 @@ func (e *Engine) ssmReconstruct(i uint64) ([]byte, bool) {
 			}
 		}
 	}
-	return pt, ok
+	return ok
 }
 
-// ssmRead is the whole ssm read datapath: fetch all n share slots, then
-// reconstruct and classify after the crypto-pipeline latency.
-func (e *Engine) ssmRead(local geom.Addr, finish func(ReadResult)) {
+// ssmRead is the ssm read datapath of request id: fetch all n share
+// slots; once they land (see joined) the crypto-pipeline latency passes
+// and ssmCompleteRead reconstructs and classifies.
+func (e *Engine) ssmRead(local geom.Addr, id uint64) {
 	i := e.sectorIdx(local)
-	j := &join{}
-	j.then = func() {
-		e.eng.Schedule(e.cfg.AESLatency, func() {
-			e.ssmCompleteRead(i, finish)
-		})
-	}
 	for r := 0; r < e.cfg.SSMShares; r++ {
-		e.ch.Access(e.ssmSlotAddr(r, i), false, stats.Data, j.arm())
+		e.ch.AccessCall(e.ssmSlotAddr(r, i), false, stats.Data, e.arm(id, false))
 	}
-	j.seal()
+	e.seal(id)
 }
 
 // ssmCompleteRead reconstructs and turns share inconsistency into the
 // scheme's tamper verdict.
-func (e *Engine) ssmCompleteRead(i uint64, finish func(ReadResult)) {
-	pt, consistent := e.ssmReconstruct(i)
+func (e *Engine) ssmCompleteRead(id uint64) {
+	r := e.reqs.At(id)
+	i := e.sectorIdx(r.local)
+	consistent := e.ssmReconstruct(r.pt[:], i)
 	e.st.Sec.SharesReconstructed++
 	tainted := e.taintData.Get(i)
 	if tainted {
@@ -272,7 +270,7 @@ func (e *Engine) ssmCompleteRead(i uint64, finish func(ReadResult)) {
 	if !consistent {
 		e.st.Sec.TamperDetected++
 		e.st.Sec.Verdicts.Record(stats.VerdictDetectedByReconstruction)
-		finish(ReadResult{Data: pt, OK: false})
+		e.finishRead(id, false, false)
 		return
 	}
 	if tainted {
@@ -281,27 +279,32 @@ func (e *Engine) ssmCompleteRead(i uint64, finish func(ReadResult)) {
 		// zero (a single-share mutation provably breaks consistency).
 		e.st.Sec.Verdicts.Record(stats.VerdictSilentCorruption)
 	}
-	finish(ReadResult{Data: pt, OK: true})
+	e.finishRead(id, true, false)
 }
 
-// ssmWrite is the whole ssm write datapath: bump the version, refresh
-// the share set under new pads, then write all n slots.
-func (e *Engine) ssmWrite(local geom.Addr, pt []byte, finish func()) {
-	i := e.sectorIdx(local)
+// ssmWrite is the ssm write datapath of request id: bump the version,
+// refresh the share set under new pads, then — after the crypto latency —
+// write all n slots (ssmWriteShares).
+func (e *Engine) ssmWrite(id uint64) {
+	r := e.reqs.At(id)
+	i := e.sectorIdx(r.local)
 	e.ssmVer.Set(i, e.ssmVer.Get(i)+1)
 	e.ssmWritten.Set(i)
-	e.ssmStoreShares(i, pt)
+	e.ssmStoreShares(i, r.pt[:])
 	// Every share's DRAM copy is rewritten wholesale: earlier mutations
 	// are gone.
 	e.taintData.Clear(i)
-	e.eng.Schedule(e.cfg.AESLatency, func() {
-		j := &join{}
-		j.then = finish
-		for r := 0; r < e.cfg.SSMShares; r++ {
-			e.ch.Access(e.ssmSlotAddr(r, i), true, stats.Data, j.arm())
-		}
-		j.seal()
-	})
+	e.eng.ScheduleCall(e.cfg.AESLatency, sim.Call{H: e.h.writeEncrypted, Arg: id})
+}
+
+// ssmWriteShares issues the n share writes of request id; the write
+// completes when all have landed (see joined).
+func (e *Engine) ssmWriteShares(id uint64) {
+	i := e.sectorIdx(e.reqs.At(id).local)
+	for r := 0; r < e.cfg.SSMShares; r++ {
+		e.ch.AccessCall(e.ssmSlotAddr(r, i), true, stats.Data, e.arm(id, false))
+	}
+	e.seal(id)
 }
 
 // CorruptShare flips one bit of the stored copy of sector local's share

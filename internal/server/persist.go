@@ -30,9 +30,8 @@ type persistedJob struct {
 // persist writes j's current state to the state dir (atomically, so a
 // kill mid-write never corrupts a record). No-op without a StateDir.
 func (s *Server) persist(j *job) {
-	if s.cfg.StateDir == "" {
-		return
-	}
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
 	j.mu.Lock()
 	p := persistedJob{ID: j.id, Request: j.req, State: j.state, Stats: j.st}
 	if j.err != nil {
@@ -44,6 +43,34 @@ func (s *Server) persist(j *job) {
 	// checkpointed backend resumes it from its last snapshot).
 	if !p.State.Terminal() {
 		p.State = StateQueued
+	}
+	s.writeRecord(p)
+}
+
+// settle records j's outcome and then publishes it. The terminal record
+// is on disk before the transition becomes visible: a client that saw
+// the job finish can rely on a restarted daemon serving that result
+// rather than running the job again.
+func (s *Server) settle(j *job, st *stats.Stats, err error) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	p := persistedJob{ID: j.id, Request: j.req, State: StateDone, Stats: st}
+	if err != nil {
+		p = persistedJob{ID: j.id, Request: j.req, State: StateFailed, Error: err.Error()}
+	}
+	s.writeRecord(p)
+	if err != nil {
+		j.fail(err)
+	} else {
+		j.complete(st)
+	}
+}
+
+// writeRecord stores p as <id>.json in the state dir. No-op without a
+// StateDir.
+func (s *Server) writeRecord(p persistedJob) {
+	if s.cfg.StateDir == "" {
+		return
 	}
 	blob, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {

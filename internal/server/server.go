@@ -86,6 +86,12 @@ type Server struct {
 	queue chan *job
 	wg    sync.WaitGroup
 
+	// persistMu orders job-record writes with the state each captures:
+	// a record is written under it together with reading (or, when
+	// settling, publishing) the state it holds, so an older state can
+	// never overwrite a newer one on disk.
+	persistMu sync.Mutex
+
 	mu       sync.Mutex
 	jobs     map[string]*job
 	pending  map[string]*job // dedup key → queued-or-running job
@@ -205,12 +211,7 @@ func (s *Server) worker() {
 				s.completedByScheme[j.sc.Scheme]++
 			}
 			s.mu.Unlock()
-			if err != nil {
-				j.fail(err)
-			} else {
-				j.complete(st)
-			}
-			s.persist(j)
+			s.settle(j, st, err)
 			break
 		}
 	}

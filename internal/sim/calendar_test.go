@@ -73,8 +73,9 @@ func (x *xorshift) next() uint64 {
 // TestCalendarMatchesReferenceHeap drives the calendar-queue engine and
 // the reference heap with identical seeded event streams — delays on
 // both sides of the ring/overflow boundary, same-cycle bursts,
-// execute-time rescheduling — and requires the dispatch order to match
-// exactly. This is the ordering contract every determinism guarantee in
+// execute-time rescheduling, typed handler calls interleaved with
+// closure calls through the arena and the overflow heap — and requires
+// the dispatch order to match exactly. This is the ordering contract every determinism guarantee in
 // the tree (PDES windows, checkpoint replay, golden figures) sits on.
 func TestCalendarMatchesReferenceHeap(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 0xdeadbeef, 1 << 40} {
@@ -97,11 +98,18 @@ func TestCalendarMatchesReferenceHeap(t *testing.T) {
 			}
 		}
 
+		// Typed calls carry their id in Arg through one shared handler;
+		// closure calls capture it. Both kinds share the arena and heap.
+		record := func(evID uint64) { engOrder = append(engOrder, int(evID)) }
 		id := 0
 		post := func(d Cycle) {
 			evID := id
 			id++
-			eng.Schedule(d, func() { engOrder = append(engOrder, evID) })
+			if rng.next()%2 == 0 {
+				eng.ScheduleCall(d, Call{H: record, Arg: uint64(evID)})
+			} else {
+				eng.Schedule(d, func() { engOrder = append(engOrder, evID) })
+			}
 			ref.schedule(d, evID)
 		}
 
@@ -200,37 +208,66 @@ func TestCalendarRescheduleDuringDispatch(t *testing.T) {
 }
 
 // TestEventLoopSteadyStateZeroAllocs pins the pooled-event invariant: a
-// warmed engine's schedule+dispatch cycle performs no heap allocation.
-// This is the same accounting the benchsmoke CI gate applies; a failure
-// here means someone reintroduced a per-event allocation on the hot
-// path (see DESIGN.md §10).
+// warmed engine's schedule+dispatch cycle performs no heap allocation,
+// for typed handler calls and for pre-built closures alike. A failure
+// here means someone reintroduced a per-event allocation on the hot path
+// (see DESIGN.md §10).
 func TestEventLoopSteadyStateZeroAllocs(t *testing.T) {
 	const ops = 4096
 	eng := &Engine{}
 	rng := xorshift(5)
-	// Deterministic warm-up: one event in every ring bucket (so each
-	// bucket's slice is grown) plus a far event to size the overflow
+	// Deterministic warm-up: one event in every ring bucket (so the
+	// arena holds a node per slot) plus a far event to size the overflow
 	// heap, all drained before counting. Steady state never holds more
-	// events per bucket than this, so no later append can grow anything.
+	// events at once than this, so nothing can grow later.
 	for s := Cycle(0); s < ringSize; s++ {
 		eng.Schedule(s, sinkFn)
 	}
 	eng.Schedule(ringSize+1000, sinkFn)
 	for eng.Step() {
 	}
+	arena := len(eng.nodes)
 	batch := func() {
 		for i := 0; i < ops; i++ {
-			eng.Schedule(Cycle(rng.next()%6000), sinkFn)
+			if i%2 == 0 {
+				eng.ScheduleCall(Cycle(rng.next()%6000), Call{H: sinkH, Arg: uint64(i)})
+			} else {
+				eng.Schedule(Cycle(rng.next()%6000), sinkFn)
+			}
 			eng.Step()
 		}
 	}
 	if got := testing.AllocsPerRun(10, batch); got != 0 {
 		t.Fatalf("event loop allocates in steady state: %.1f allocs per %d-op batch", got, ops)
 	}
+	if len(eng.nodes) != arena {
+		t.Fatalf("arena grew from %d to %d nodes in steady state", arena, len(eng.nodes))
+	}
+}
+
+// TestArenaReusesFreedNodes checks the shared arena's free list: however
+// many events pass through, the slab only grows to the peak number of
+// events queued in the ring at once.
+func TestArenaReusesFreedNodes(t *testing.T) {
+	eng := &Engine{}
+	const live = 64
+	for round := 0; round < 100; round++ {
+		for i := 0; i < live; i++ {
+			eng.ScheduleCall(Cycle(i%7), Call{H: sinkH})
+		}
+		for eng.Step() {
+		}
+	}
+	if got := len(eng.nodes); got != live+1 { // +1: the sentinel
+		t.Fatalf("arena holds %d nodes after 100 rounds of %d events, want %d", got, live, live+1)
+	}
 }
 
 // sinkFn is a top-level event body so scheduling it allocates no closure.
 func sinkFn() {}
+
+// sinkH is sinkFn as a typed handler.
+func sinkH(uint64) {}
 
 // BenchmarkEventLoop measures raw scheduler throughput and reports its
 // allocation rate (0 allocs/op in steady state).
@@ -238,13 +275,13 @@ func BenchmarkEventLoop(b *testing.B) {
 	eng := &Engine{}
 	rng := xorshift(11)
 	for i := 0; i < 4096; i++ { // warm-up: grow pools before timing
-		eng.Schedule(Cycle(rng.next()%6000), sinkFn)
+		eng.ScheduleCall(Cycle(rng.next()%6000), Call{H: sinkH})
 		eng.Step()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Schedule(Cycle(rng.next()%6000), sinkFn)
+		eng.ScheduleCall(Cycle(rng.next()%6000), Call{H: sinkH, Arg: uint64(i)})
 		eng.Step()
 	}
 }

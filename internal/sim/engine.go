@@ -3,12 +3,25 @@
 // keyed by cycle, with FIFO ordering among events scheduled for the same
 // cycle.
 //
-// All model components express time by scheduling closures. Each Engine is
-// single-threaded by design — determinism matters more than parallel
-// speed for reproducing the paper's figures, and runs are repeatable
-// bit-for-bit for a given seed. For parallel execution the Cluster type
-// (shard.go) advances several Engines in lockstep windows with
-// deterministic cross-engine message delivery, so sharded runs stay
+// Model components express time by scheduling typed continuations. A
+// Call is either a handler bound once at construction plus a uint64
+// argument — by convention the index of a request record in a per-shard
+// Pool, which carries the request's state between hops — or a plain
+// closure, kept for cold sites such as the checkpoint drain and for
+// messages that must carry data by value to another shard. The miss
+// paths therefore queue, mail and dispatch events without allocating.
+//
+// Queued events live in one shared arena per Engine: a free-listed slab
+// of nodes, each bucket of the calendar queue an intrusive FIFO list
+// through it. Request-record pools are owned by exactly one shard and
+// are empty whenever the simulation is quiescent; snapshots assert it,
+// since a live record would be in-flight state the codec does not carry.
+//
+// Each Engine is single-threaded by design — determinism matters more
+// than parallel speed for reproducing the paper's figures, and runs are
+// repeatable bit-for-bit for a given seed. For parallel execution the
+// Cluster type (shard.go) advances several Engines in lockstep windows
+// with deterministic cross-engine message delivery, so sharded runs stay
 // bit-identical to single-threaded ones.
 package sim
 
@@ -17,14 +30,44 @@ import "math/bits"
 // Cycle is a point in simulated time, in core clock cycles.
 type Cycle uint64
 
+// Call is a typed event continuation. H, when set, is a handler bound
+// once at construction and Arg its argument (usually a request-record
+// index); otherwise Fn, a closure, runs. Handlers and record indices
+// make a continuation a plain value, so scheduling one never allocates.
+// The zero Call means "no continuation".
+type Call struct {
+	H   func(uint64)
+	Arg uint64
+	Fn  func()
+}
+
+// IsZero reports whether c carries no continuation.
+func (c Call) IsZero() bool { return c.H == nil && c.Fn == nil }
+
+// Run invokes the continuation.
+func (c Call) Run() {
+	if c.H != nil {
+		c.H(c.Arg)
+		return
+	}
+	c.Fn()
+}
+
 // The queue is a calendar (bucket) queue: a ring of per-cycle buckets
 // covering the window [now, now+ringSize) absorbs the overwhelming
 // majority of events (cache latencies, DRAM service times, crossbar hops
 // are all far below ringSize), giving O(1) schedule and dispatch with no
-// per-event allocation — the previous container/heap implementation boxed
-// every event through an interface and was comparison-bound. Events
-// beyond the window (deep DRAM bus backlog) go to a small inline overflow
-// heap and migrate into the ring as time advances.
+// per-event allocation. Events beyond the window (deep DRAM bus backlog)
+// go to a small inline overflow heap and migrate into the ring as time
+// advances.
+//
+// The buckets share one arena: nodes is a slab of queued calls, node 0
+// a sentinel so that a zero index means "none", and each bucket is a
+// (head, tail) FIFO list threaded through the nodes' next links.
+// Dispatched nodes go on a free list and are reused, so the slab grows
+// only to the peak number of events in the ring at once — per-bucket
+// slices would instead keep 4096 backing arrays, each sized for its own
+// worst cycle.
 //
 // Ordering invariant: dispatch is strictly (cycle, seq) — seq is the
 // global monotone schedule order, so same-cycle events run FIFO. The
@@ -35,8 +78,9 @@ type Cycle uint64
 // migration happens exactly when now first advances past X−ringSize —
 // before any event at the new now executes. Appending migrated events
 // ahead of future ring appends therefore preserves global (cycle, seq)
-// order. The scheduler_test.go property test cross-checks this dispatch
-// order against a reference heap over randomized event streams.
+// order, and ring nodes need not store seq at all. The calendar_test.go
+// property test cross-checks this dispatch order against a reference
+// heap over randomized event streams.
 const (
 	ringBits  = 12
 	ringSize  = Cycle(1) << ringBits // bucketed scheduling window, in cycles
@@ -44,25 +88,23 @@ const (
 	busyWords = int(ringSize) / 64
 )
 
-// event is one queued closure; its cycle is implied by its bucket.
-type event struct {
-	seq uint64
-	fn  func()
+// node is one queued call in the arena; its cycle is implied by the
+// bucket whose list it is on.
+type node struct {
+	call Call
+	next int32 // next node in the bucket (or on the free list); 0 = none
 }
 
 // farEvent is an overflow-heap entry (cycle kept explicitly).
 type farEvent struct {
-	at  Cycle
-	seq uint64
-	fn  func()
+	at   Cycle
+	seq  uint64
+	call Call
 }
 
-// bucket holds one cycle's events in schedule order. head indexes the
-// next unconsumed event; the backing slice is reused across cycles once
-// fully drained, so steady-state scheduling never allocates.
+// bucket is one cycle's FIFO list of arena nodes; head == 0 means empty.
 type bucket struct {
-	evs  []event
-	head int
+	head, tail int32
 }
 
 // Engine is the event queue. The zero value is ready to use.
@@ -73,6 +115,8 @@ type Engine struct {
 	count int
 	busy  [busyWords]uint64 // occupancy bitmap over ring slots
 	ring  [ringSize]bucket
+	nodes []node     // the shared event arena; nodes[0] is the sentinel
+	free  int32      // head of the arena free list; 0 = empty
 	far   []farEvent // min-heap on (at, seq) for events ≥ now+ringSize
 }
 
@@ -84,41 +128,62 @@ func (e *Engine) Now() Cycle { return e.now }
 // it reports the true end of activity in windowed (sharded) execution.
 func (e *Engine) LastEventAt() Cycle { return e.last }
 
-// Schedule runs fn after delay cycles. A delay of zero runs fn later in
-// the current cycle, after already-queued same-cycle events.
+// Schedule runs fn after delay cycles; it is ScheduleCall with a
+// closure continuation, for cold sites and external drivers.
+func (e *Engine) Schedule(delay Cycle, fn func()) { e.ScheduleCall(delay, Call{Fn: fn}) }
+
+// ScheduleCall runs c after delay cycles. A delay of zero runs c later
+// in the current cycle, after already-queued same-cycle events.
 //
 //simlint:hotpath
-func (e *Engine) Schedule(delay Cycle, fn func()) {
+func (e *Engine) ScheduleCall(delay Cycle, c Call) {
 	e.seq++
 	if delay < ringSize {
-		e.pushRing(e.now+delay, event{seq: e.seq, fn: fn})
+		e.pushRing(e.now+delay, c)
 	} else {
-		e.pushFar(farEvent{at: e.now + delay, seq: e.seq, fn: fn})
+		e.pushFar(farEvent{at: e.now + delay, seq: e.seq, call: c})
 	}
 	e.count++
 }
 
-// ScheduleAt runs fn at absolute cycle at, which must not lie in the
+// ScheduleAt runs c at absolute cycle at, which must not lie in the
 // past. Among events at the same cycle it runs after everything already
-// queued (same FIFO rule as Schedule). Cross-shard message delivery uses
-// it to inject mail stamped with absolute delivery cycles.
+// queued (same FIFO rule as ScheduleCall). Cross-shard message delivery
+// uses it to inject mail stamped with absolute delivery cycles.
 //
 //simlint:hotpath
-func (e *Engine) ScheduleAt(at Cycle, fn func()) {
+func (e *Engine) ScheduleAt(at Cycle, c Call) {
 	if at < e.now {
 		panic("sim: ScheduleAt in the past (causality violation)")
 	}
-	e.Schedule(at-e.now, fn)
+	e.ScheduleCall(at-e.now, c)
 }
 
+// pushRing appends c to the bucket of cycle at, taking a node from the
+// arena free list (or growing the arena when none is free).
+//
 //simlint:hotpath
-func (e *Engine) pushRing(at Cycle, ev event) {
+func (e *Engine) pushRing(at Cycle, c Call) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+		e.nodes[i] = node{call: c}
+	} else {
+		if len(e.nodes) == 0 {
+			e.nodes = append(e.nodes, node{}) // the sentinel
+		}
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{call: c})
+	}
 	s := at & ringMask
 	b := &e.ring[s]
-	if len(b.evs) == 0 {
+	if b.head == 0 {
+		b.head = i
 		e.busy[s>>6] |= 1 << (s & 63)
+	} else {
+		e.nodes[b.tail].next = i
 	}
-	b.evs = append(b.evs, ev)
+	b.tail = i
 }
 
 //simlint:hotpath
@@ -149,7 +214,7 @@ func (e *Engine) popFar() farEvent {
 	fe := e.far[0]
 	n := len(e.far) - 1
 	e.far[0] = e.far[n]
-	e.far[n].fn = nil // release the closure for GC
+	e.far[n].call = Call{} // release the continuation for GC
 	e.far = e.far[:n]
 	i := 0
 	for {
@@ -179,7 +244,7 @@ func (e *Engine) migrateFar() {
 	horizon := e.now + ringSize
 	for len(e.far) > 0 && e.far[0].at < horizon {
 		fe := e.popFar()
-		e.pushRing(fe.at, event{seq: fe.seq, fn: fe.fn})
+		e.pushRing(fe.at, fe.call)
 	}
 }
 
@@ -238,17 +303,19 @@ func (e *Engine) stepAt(at Cycle) {
 	}
 	s := at & ringMask
 	b := &e.ring[s]
-	ev := b.evs[b.head]
-	b.evs[b.head].fn = nil // release the closure for GC
-	b.head++
-	if b.head == len(b.evs) {
-		b.evs = b.evs[:0]
-		b.head = 0
+	i := b.head
+	n := &e.nodes[i]
+	c := n.call
+	b.head = n.next
+	if b.head == 0 {
+		b.tail = 0
 		e.busy[s>>6] &^= 1 << (s & 63)
 	}
+	*n = node{next: e.free} // release the continuation for GC
+	e.free = i
 	e.count--
 	e.last = at
-	ev.fn()
+	c.Run()
 }
 
 // Step executes the earliest event, advancing time to it. It reports

@@ -110,7 +110,7 @@ func TestScheduleZeroChainFIFO(t *testing.T) {
 func TestScheduleAt(t *testing.T) {
 	var e Engine
 	var at []Cycle
-	e.ScheduleAt(7, func() { at = append(at, e.Now()) })
+	e.ScheduleAt(7, Call{Fn: func() { at = append(at, e.Now()) }})
 	e.Schedule(7, func() { at = append(at, e.Now()+100) }) // queued later, same cycle: runs second
 	e.Drain(0)
 	if len(at) != 2 || at[0] != 7 || at[1] != 107 {
@@ -121,7 +121,7 @@ func TestScheduleAt(t *testing.T) {
 			t.Error("ScheduleAt in the past did not panic")
 		}
 	}()
-	e.ScheduleAt(3, func() {})
+	e.ScheduleAt(3, Call{Fn: func() {}})
 }
 
 func TestNextAtAndLastEventAt(t *testing.T) {

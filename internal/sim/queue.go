@@ -1,41 +1,39 @@
 package sim
 
-// FuncQueue is an amortized-O(1) FIFO of closures. The MSHR-stall paths
-// park blocked requests here; the previous implementation re-sliced and
-// copied the whole queue on every release, which profiling showed as the
-// simulator's dominant allocation site (quadratic in queue depth). Pops
-// advance a head index and the backing array is reused once drained, so
-// steady-state park/release cycles allocate nothing.
-type FuncQueue struct {
-	fns  []func()
-	head int
+// CallQueue is an amortized-O(1) FIFO of continuations. The MSHR-stall
+// paths park blocked requests here. Pops advance a head index and the
+// backing array is reused once drained, so steady-state park/release
+// cycles allocate nothing.
+type CallQueue struct {
+	calls []Call
+	head  int
 }
 
-// Len returns the number of queued closures.
-func (q *FuncQueue) Len() int { return len(q.fns) - q.head }
+// Len returns the number of queued continuations.
+func (q *CallQueue) Len() int { return len(q.calls) - q.head }
 
-// Push appends fn to the queue.
-func (q *FuncQueue) Push(fn func()) {
-	if q.head == len(q.fns) && q.head != 0 {
+// Push appends c to the queue.
+func (q *CallQueue) Push(c Call) {
+	if q.head == len(q.calls) && q.head != 0 {
 		// Fully drained: rewind so the backing array is reused.
-		q.fns = q.fns[:0]
+		q.calls = q.calls[:0]
 		q.head = 0
 	}
-	q.fns = append(q.fns, fn)
+	q.calls = append(q.calls, c)
 }
 
-// Pop removes and returns the oldest closure, or nil if the queue is
-// empty.
-func (q *FuncQueue) Pop() func() {
-	if q.head == len(q.fns) {
-		return nil
+// Pop removes and returns the oldest continuation, or the zero Call if
+// the queue is empty.
+func (q *CallQueue) Pop() Call {
+	if q.head == len(q.calls) {
+		return Call{}
 	}
-	fn := q.fns[q.head]
-	q.fns[q.head] = nil // release for GC
+	c := q.calls[q.head]
+	q.calls[q.head] = Call{} // release for GC
 	q.head++
-	if q.head == len(q.fns) {
-		q.fns = q.fns[:0]
+	if q.head == len(q.calls) {
+		q.calls = q.calls[:0]
 		q.head = 0
 	}
-	return fn
+	return c
 }

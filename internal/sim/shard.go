@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -23,13 +24,13 @@ import (
 // sequential ones: sequential mode runs the exact same windows and
 // deliveries on a single goroutine.
 
-// message is one cross-shard closure with its delivery cycle and the
-// canonical ordering key (sender id, per-sender sequence number).
+// message is one cross-shard continuation with its delivery cycle and
+// the canonical ordering key (sender id, per-sender sequence number).
 type message struct {
 	at   Cycle
 	from int
 	seq  uint64
-	fn   func()
+	call Call
 }
 
 // Shard is one partition of a sharded simulation: an Engine that advances
@@ -54,7 +55,7 @@ func (s *Shard) ID() int { return s.id }
 // schedule on it directly; other shards must use Send.
 func (s *Shard) Engine() *Engine { return s.eng }
 
-// Send schedules fn to run on shard dst, delay cycles after the sender's
+// Send schedules c to run on shard dst, delay cycles after the sender's
 // current time. The delay must be at least the cluster's lookahead window
 // — that is the conservative-PDES contract that lets every shard execute
 // a whole window without observing mid-window mail — and Send panics on a
@@ -63,12 +64,15 @@ func (s *Shard) Engine() *Engine { return s.eng }
 // Mail for the same delivery cycle is executed in (sender id, send order)
 // order, after any events the destination shard had already scheduled
 // for that cycle.
-func (s *Shard) Send(dst *Shard, delay Cycle, fn func()) {
+//
+// c runs on dst's goroutine, so a handler's record index must refer to
+// state dst owns (or to immutable data carried in the argument itself).
+func (s *Shard) Send(dst *Shard, delay Cycle, c Call) {
 	if delay < s.cl.window {
 		panic(fmt.Sprintf("sim: Send delay %d below lookahead window %d", delay, s.cl.window))
 	}
 	s.sendSeq++
-	m := message{at: s.eng.Now() + delay, from: s.id, seq: s.sendSeq, fn: fn}
+	m := message{at: s.eng.Now() + delay, from: s.id, seq: s.sendSeq, call: c}
 	dst.mu.Lock()
 	dst.inbox = append(dst.inbox, m)
 	dst.mu.Unlock()
@@ -114,29 +118,32 @@ func (c *Cluster) Parallel() bool { return c.parallel }
 
 // deliver drains every shard's inbox into its engine. It must only run at
 // a barrier (no shard executing). Messages are sorted by (cycle, sender,
-// sender-sequence) so delivery order is independent of the goroutine
-// interleaving that enqueued them.
+// sender-sequence) — a total key, so the order is independent of the
+// goroutine interleaving that enqueued them and of the sort algorithm.
 func (c *Cluster) deliver() {
 	for _, s := range c.shards {
 		if len(s.inbox) == 0 {
 			continue
 		}
 		msgs := s.inbox
-		sort.Slice(msgs, func(i, j int) bool {
-			a, b := msgs[i], msgs[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.from != b.from {
-				return a.from < b.from
-			}
-			return a.seq < b.seq
-		})
-		for _, m := range msgs {
-			s.eng.ScheduleAt(m.at, m.fn)
+		slices.SortFunc(msgs, compareMessages)
+		for i := range msgs {
+			s.eng.ScheduleAt(msgs[i].at, msgs[i].call)
+			msgs[i].call = Call{} // release the continuation for GC
 		}
 		s.inbox = msgs[:0]
 	}
+}
+
+// compareMessages orders mail by (cycle, sender, sender-sequence).
+func compareMessages(a, b message) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.from, b.from); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // RunWindow delivers pending cross-shard mail and advances every shard

@@ -22,7 +22,7 @@ func pingPong(parallel bool) [][]string {
 			return
 		}
 		dst := c.Shard((s.ID() + token) % shards)
-		s.Send(dst, Cycle(window+token%7), func() { bounce(dst, token+1) })
+		s.Send(dst, Cycle(window+token%7), Call{Fn: func() { bounce(dst, token+1) }})
 		// Local follow-up work exercises intra-shard ordering too.
 		s.Engine().Schedule(Cycle(token%3), func() {
 			logs[s.ID()] = append(logs[s.ID()], fmt.Sprintf("local%d@%d", token, s.Engine().Now()))
@@ -66,8 +66,8 @@ func TestMailboxDeliveryAtWindowBoundary(t *testing.T) {
 	// Both peers send mail that lands exactly at cycle 10 — the earliest
 	// cycle the lookahead contract allows. Enqueue z's first to prove
 	// delivery order is canonical (sender id), not enqueue order.
-	z.Send(b, window, func() { order = append(order, "from2") })
-	a.Send(b, window, func() { order = append(order, "from0") })
+	z.Send(b, window, Call{Fn: func() { order = append(order, "from2") }})
+	a.Send(b, window, Call{Fn: func() { order = append(order, "from0") }})
 	c.Run(0)
 	want := []string{"internal", "from0", "from2"}
 	if !reflect.DeepEqual(order, want) {
@@ -88,7 +88,7 @@ func TestSendBelowWindowPanics(t *testing.T) {
 			t.Error("Send with delay < window did not panic")
 		}
 	}()
-	c.Shard(0).Send(c.Shard(1), 9, func() {})
+	c.Shard(0).Send(c.Shard(1), 9, Call{Fn: func() {}})
 }
 
 // Sparse event queues must not be ground through window by window: the
@@ -114,11 +114,10 @@ func TestRoundTripLatency(t *testing.T) {
 	c := NewCluster(2, window, false)
 	a, b := c.Shard(0), c.Shard(1)
 	var reply Cycle
-	a.Engine().Schedule(7, func() {
-		a.Send(b, window, func() {
-			b.Send(a, window, func() { reply = a.Engine().Now() })
-		})
-	})
+	var ping, pong func(uint64)
+	pong = func(tag uint64) { reply = a.Engine().Now() + Cycle(tag) }
+	ping = func(tag uint64) { b.Send(a, window, Call{H: pong, Arg: tag}) }
+	a.Engine().Schedule(7, func() { a.Send(b, window, Call{H: ping, Arg: 0}) })
 	c.Run(0)
 	if reply != 7+2*window {
 		t.Errorf("round trip completed at %d, want %d", reply, 7+2*window)
