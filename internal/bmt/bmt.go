@@ -11,10 +11,15 @@
 // chip; interior nodes are normal metadata blocks whose fetch/writeback
 // traffic is modelled by the engine through the BMT metadata cache.
 //
-// Functionally the package propagates hash updates eagerly so its state is
-// always self-consistent; the *lazy-update* traffic optimization (updates
-// ride on cache-eviction writebacks) is purely a timing concern handled by
-// the engine.
+// Interior hashes are maintained lazily. SetUnitHash records the new leaf
+// and marks its level-0 parent dirty; nothing in a run reads interior
+// hashes (VerifyUnit compares leaves), so they are recomputed only when
+// Root or Snapshot observes them. That flush rehashes the dirty nodes
+// bottom-up, each level in ascending index order, and leaves hash values
+// and presence exactly as propagating every update to the root would.
+// The paper's *lazy-update* traffic optimization (updates ride on
+// cache-eviction writebacks) is a separate, timing-only concern handled
+// by the engine.
 package bmt
 
 import (
@@ -118,6 +123,11 @@ type Tree struct {
 	//simlint:ignore snapsym constant for a given key/serialization, recomputed at construction
 	defaultNode []uint64
 	root        uint64
+	// dirty[l] marks level-l nodes with a child changed since the node
+	// was last hashed. flush folds them into nodeHashes and root;
+	// Snapshot flushes first, so dirty is empty whenever the tree is
+	// encoded, and Restore clears it.
+	dirty []dense.Bitmap
 
 	// path backs the slice Path returns; nodeBuf is computeNode's
 	// serialization buffer. Both are per-call scratch.
@@ -156,6 +166,7 @@ func New(cfg Config, defaultUnitHash uint64) (*Tree, error) {
 	}
 	t.nodeBuf = make([]byte, 8*int(t.arity)+8)
 	t.nodeHashes = make([]hashes, len(t.counts))
+	t.dirty = make([]dense.Bitmap, len(t.counts))
 	t.defaultNode = make([]uint64, len(t.counts))
 	// Default node hashes cascade: level 0 nodes hash arity default unit
 	// hashes, and so on up.
@@ -216,7 +227,10 @@ func (t *Tree) NodeAddr(r NodeRef) geom.Addr {
 }
 
 // Root returns the current root hash (the on-chip trust anchor).
-func (t *Tree) Root() uint64 { return t.root }
+func (t *Tree) Root() uint64 {
+	t.flush()
+	return t.root
+}
 
 // IsRoot reports whether r is the root node, which is pinned on-chip and
 // never generates memory traffic.
@@ -314,7 +328,8 @@ func (t *Tree) computeNode(l int, i uint64) uint64 {
 }
 
 // SetUnitHash records a new hash for counter unit u (after a counter
-// write) and propagates the change to the root.
+// write) and marks its level-0 node dirty; the interior nodes above it
+// are rehashed by the next flush.
 //
 //simlint:hotpath
 func (t *Tree) SetUnitHash(u uint64, h uint64) {
@@ -322,15 +337,28 @@ func (t *Tree) SetUnitHash(u uint64, h uint64) {
 		panic(fmt.Sprintf("bmt: unit %d out of range %d", u, t.cfg.Units))
 	}
 	t.unitHashes.put(u, h)
-	idx := u / t.arity
-	for l := 0; l < len(t.counts); l++ {
-		nh := t.computeNode(l, idx)
-		if l == len(t.counts)-1 {
-			t.root = nh
-			break
+	t.dirty[0].Set(u / t.arity)
+}
+
+// flush rehashes every dirty node bottom-up, marking each parent dirty,
+// until the root is current. Each node is hashed once from its final
+// children, so the result equals propagating every update eagerly.
+func (t *Tree) flush() {
+	top := len(t.counts) - 1
+	for l := range t.dirty {
+		if t.dirty[l].Count() == 0 {
+			continue
 		}
-		t.nodeHashes[l].put(idx, nh)
-		idx /= t.arity
+		t.dirty[l].ForEach(func(i uint64) {
+			nh := t.computeNode(l, i)
+			if l == top {
+				t.root = nh
+				return
+			}
+			t.nodeHashes[l].put(i, nh)
+			t.dirty[l+1].Set(i / t.arity)
+		})
+		t.dirty[l].Reset()
 	}
 }
 

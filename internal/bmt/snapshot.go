@@ -6,12 +6,13 @@ import (
 	"github.com/plutus-gpu/plutus/internal/checkpoint"
 )
 
-// Snapshot encodes the tree's materialized hashes — non-default unit
-// hashes, per-level non-default node hashes (both in ascending index
-// order), and the root. Geometry and defaults are derived from Config
-// on the restoring side; unit count and height are encoded as a
-// cross-check.
+// Snapshot flushes pending interior updates, then encodes the tree's
+// materialized hashes — non-default unit hashes, per-level non-default
+// node hashes (both in ascending index order), and the root. Geometry
+// and defaults are derived from Config on the restoring side; unit count
+// and height are encoded as a cross-check.
 func (t *Tree) Snapshot(enc *checkpoint.Encoder) error {
+	t.flush()
 	enc.U64(t.cfg.Units)
 	enc.U32(uint32(len(t.counts)))
 	snapshotHashes(enc, &t.unitHashes)
@@ -50,6 +51,9 @@ func (t *Tree) Restore(dec *checkpoint.Decoder) error {
 	t.unitHashes = unitHashes
 	t.nodeHashes = nodeHashes
 	t.root = root
+	for l := range t.dirty {
+		t.dirty[l].Reset()
+	}
 	return nil
 }
 

@@ -146,13 +146,22 @@ func (v *U64) Get(i uint64) uint64 {
 // Set stores x at index i.
 func (v *U64) Set(i uint64, x uint64) {
 	p := i >> pageBits
+	if p >= uint64(len(v.pages)) || v.pages[p] == nil {
+		v.grow(p)
+	}
+	v.pages[p][i&pageMask] = x
+}
+
+// grow materializes page p, out of line for the reason Bitmap.grow is.
+//
+//go:noinline
+func (v *U64) grow(p uint64) {
 	for uint64(len(v.pages)) <= p {
 		v.pages = append(v.pages, nil)
 	}
 	if v.pages[p] == nil {
 		v.pages[p] = make([]uint64, pageSize)
 	}
-	v.pages[p][i&pageMask] = x
 }
 
 // U32 is U64 for uint32 values (minor and compact counters).

@@ -483,6 +483,10 @@ func (e *Engine) commitWrite(id uint64) {
 			e.dirtyOriginalCounter(i)
 		}
 		if justDisabled {
+			// The disable bit changes what originalMinor reports for
+			// the whole block: no memoized hash survives it.
+			e.ctrMemo.valid.Reset()
+			e.cctrMemo.valid.Reset()
 			// One-time copy of the block's surviving compact counters to
 			// the original store: two original counter sectors written
 			// (paper §IV-D; 2× compaction), and the main tree now covers
@@ -551,14 +555,17 @@ func (e *Engine) refreshDisabledBlockHashes(i uint64) {
 	per := uint64(e.cfg.Compact.CountersPerSector())
 	blockSectors := 4 * per // one compact block covers 4 compact sectors
 	start := i / blockSectors * blockSectors
-	seen := map[uint64]bool{}
+	// ctrUnitOf is monotone in s, so skipping repeats of the previous
+	// unit visits each covering unit once.
+	prev := ^uint64(0)
 	for s := start; s < start+blockSectors && s < e.lay.dataSectors; s += uint64(e.split.Config().GroupSize) {
 		u := e.ctrUnitOf(s)
-		if !seen[u] {
-			seen[u] = true
-			e.ctrReplayed.Clear(u) // propagation rewrites the unit
-			e.tree.SetUnitHash(u, e.counterUnitHash(u))
+		if u == prev {
+			continue
 		}
+		prev = u
+		e.ctrReplayed.Clear(u) // propagation rewrites the unit
+		e.tree.SetUnitHash(u, e.counterUnitHash(u))
 	}
 }
 
@@ -587,6 +594,15 @@ func (e *Engine) bumpCounter(local geom.Addr) {
 		}
 	}
 	e.split.Increment(i)
+	// The increment (and any overflow it caused) changed only i's group:
+	// its counter unit and the compact units overlapping it.
+	e.ctrMemo.valid.Clear(e.ctrUnitOf(i))
+	if e.compact != nil {
+		lo, hi := e.split.GroupSectors(e.split.GroupOf(i))
+		for cu := e.cctrUnitOf(lo); cu <= e.cctrUnitOf(hi-1); cu++ {
+			e.cctrMemo.valid.Clear(cu)
+		}
+	}
 }
 
 // --- counter acquisition ---

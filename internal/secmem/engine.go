@@ -90,6 +90,13 @@ type Engine struct {
 	ctrReplayed dense.Bitmap
 	// cctrReplayed is ctrReplayed for the compact counter region.
 	cctrReplayed dense.Bitmap
+	// ctrMemo and cctrMemo memoize the hash of each counter and compact
+	// unit's current (non-replayed) contents. They are derived state, not
+	// snapshotted: an entry is dropped wherever those contents can
+	// change — bumpCounter invalidates the bumped group's units, and an
+	// adaptive block disable or a Restore resets both memos.
+	ctrMemo  unitHashMemo
+	cctrMemo unitHashMemo
 	// bmtTampered marks DRAM-resident tree nodes (by local address) an
 	// attacker corrupted: fetching one fails parent verification. It is
 	// touched only by attack primitives and the (cold) tree walk, so it
@@ -404,15 +411,37 @@ func (e *Engine) freshUnitHash(u uint64) uint64 {
 	return e.hashCounterUnit(u, true)
 }
 
-// counterUnitHash recomputes the hash of unit u's DRAM-resident copy
-// from current counter state. A replayed unit hashes as the boot image
+// unitHashMemo caches one hash per unit index, valid until dropped.
+type unitHashMemo struct {
+	h     dense.U64
+	valid dense.Bitmap
+}
+
+// put records h as unit u's hash and returns it.
+func (m *unitHashMemo) put(u, h uint64) uint64 {
+	m.h.Set(u, h)
+	m.valid.Set(u)
+	return h
+}
+
+// counterUnitHash returns the hash of unit u's DRAM-resident copy as of
+// the current counter state, recomputing it only when the unit changed
+// since it was last hashed. A replayed unit hashes as the boot image
 // (all counters zero) — the attacker substituted the stale initial copy
 // — so verification against the tree fails exactly when the unit has
 // been written since boot. The mark is cleared when the controller next
 // writes the unit (see dirtyOriginalCounter), which replaces the DRAM
 // copy with fresh state.
+//
+//simlint:hotpath
 func (e *Engine) counterUnitHash(u uint64) uint64 {
-	return e.hashCounterUnit(u, e.ctrReplayed.Get(u))
+	if e.ctrReplayed.Get(u) {
+		return e.hashCounterUnit(u, true)
+	}
+	if e.ctrMemo.valid.Get(u) {
+		return e.ctrMemo.h.Get(u)
+	}
+	return e.ctrMemo.put(u, e.hashCounterUnit(u, false))
 }
 
 // hashCounterUnit hashes unit u's serialized counter contents as they
@@ -475,10 +504,18 @@ func (e *Engine) freshCompactUnitHash(u uint64) uint64 {
 	return e.hashCompactUnit(u, true)
 }
 
-// compactUnitHash recomputes the hash of compact unit u's DRAM-resident
-// copy; a replayed unit hashes as the boot image (see counterUnitHash).
+// compactUnitHash is counterUnitHash for compact unit u; a replayed
+// unit hashes as the boot image.
+//
+//simlint:hotpath
 func (e *Engine) compactUnitHash(u uint64) uint64 {
-	return e.hashCompactUnit(u, e.cctrReplayed.Get(u))
+	if e.cctrReplayed.Get(u) {
+		return e.hashCompactUnit(u, true)
+	}
+	if e.cctrMemo.valid.Get(u) {
+		return e.cctrMemo.h.Get(u)
+	}
+	return e.cctrMemo.put(u, e.hashCompactUnit(u, false))
 }
 
 // hashCompactUnit hashes compact unit u's counter values (contents only,

@@ -114,6 +114,9 @@ func (e *Engine) Restore(dec *checkpoint.Decoder) error {
 	if err := e.quiescenceError(); err != nil {
 		return fmt.Errorf("secmem: restore into a busy engine: %w", err)
 	}
+	// The restored counters replace whatever the memos were hashed from.
+	e.ctrMemo.valid.Reset()
+	e.cctrMemo.valid.Reset()
 	var mem dense.Sectors
 	nm := dec.U64()
 	for i := uint64(0); i < nm && dec.Err() == nil; i++ {

@@ -1,39 +1,56 @@
 package sim
 
-// CallQueue is an amortized-O(1) FIFO of continuations. The MSHR-stall
-// paths park blocked requests here. Pops advance a head index and the
-// backing array is reused once drained, so steady-state park/release
-// cycles allocate nothing.
+// CallQueue is a FIFO of continuations. The MSHR-stall paths park
+// blocked requests here. It is a power-of-two ring that grows only when
+// full, so its capacity tracks peak occupancy (at most twice it, or the
+// 16-entry minimum) however pushes and pops interleave, and steady-state
+// park/release cycles allocate nothing.
 type CallQueue struct {
-	calls []Call
-	head  int
+	ring []Call // len is zero or a power of two
+	head int    // index of the oldest entry
+	n    int
 }
 
 // Len returns the number of queued continuations.
-func (q *CallQueue) Len() int { return len(q.calls) - q.head }
+func (q *CallQueue) Len() int { return q.n }
 
 // Push appends c to the queue.
+//
+//simlint:hotpath
 func (q *CallQueue) Push(c Call) {
-	if q.head == len(q.calls) && q.head != 0 {
-		// Fully drained: rewind so the backing array is reused.
-		q.calls = q.calls[:0]
-		q.head = 0
+	if q.n == len(q.ring) {
+		q.grow()
 	}
-	q.calls = append(q.calls, c)
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = c
+	q.n++
+}
+
+// grow doubles the ring, unwrapping its entries to start at index 0. It
+// stays out of line so Push keeps the allocation out of its body.
+//
+//go:noinline
+func (q *CallQueue) grow() {
+	size := 2 * len(q.ring)
+	if size == 0 {
+		size = 16
+	}
+	ring := make([]Call, size)
+	k := copy(ring, q.ring[q.head:])
+	copy(ring[k:], q.ring[:q.head])
+	q.ring, q.head = ring, 0
 }
 
 // Pop removes and returns the oldest continuation, or the zero Call if
 // the queue is empty.
+//
+//simlint:hotpath
 func (q *CallQueue) Pop() Call {
-	if q.head == len(q.calls) {
+	if q.n == 0 {
 		return Call{}
 	}
-	c := q.calls[q.head]
-	q.calls[q.head] = Call{} // release for GC
-	q.head++
-	if q.head == len(q.calls) {
-		q.calls = q.calls[:0]
-		q.head = 0
-	}
+	c := q.ring[q.head]
+	q.ring[q.head] = Call{} // release for GC
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
 	return c
 }
