@@ -8,31 +8,41 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/plutus-gpu/plutus/internal/checkpoint"
 	"github.com/plutus-gpu/plutus/internal/gpusim"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/workload"
 )
 
-// snapshotDigestGolden pins the SHA-256 of every gpusim checkpoint
-// snapshot of a fixed set of cells. Snapshot bytes carry the full
-// functional state (DRAM image, counters, both trees' materialized
-// hashes, caches), so a refactor of how that state is maintained must
-// leave this file unchanged.
+// snapshotDigestGolden pins the SHA-256 of every section of every
+// gpusim checkpoint snapshot of a fixed set of cells. Snapshot bytes
+// carry the full functional state (DRAM image, counters, both trees'
+// materialized hashes, caches), so a refactor of how that state is
+// maintained must leave this file unchanged. Digests are per section so
+// a change that only renames configuration fields — which moves the
+// "meta" section's fingerprint and nothing else — is told apart from
+// one that moves simulator state.
 const snapshotDigestGolden = "testdata/snapshot_digests.golden"
 
 // snapshotDigests runs every pinned cell with checkpoints at a fixed
-// cadence and returns one line per snapshot: cell, ordinal, cycle and
-// digest.
+// cadence and returns one line per snapshot section: cell, ordinal,
+// cycle, section name and digest. Every registered scheme is pinned;
+// the fullSchemes run on three benchmarks, the rest on histo only, to
+// bound the runtime.
 func snapshotDigests(t *testing.T) string {
 	t.Helper()
 	const (
 		insts     = 5000
 		protected = 128 << 20
-		every     = 800
+		every     = 400
 	)
+	fullSchemes := map[string]bool{"pssm": true, "plutus": true, "plutus-C3A": true, "plutus-G32": true, "mgx": true}
 	var sb strings.Builder
 	for _, bench := range []string{"bfs", "histo", "backprop"} {
-		for _, scheme := range []string{"pssm", "plutus", "plutus-C3A", "plutus-G32", "mgx"} {
+		for _, scheme := range secmem.Names() {
+			if !fullSchemes[scheme] && bench != "histo" {
+				continue
+			}
 			sc, err := secmem.ByName(scheme, protected)
 			if err != nil {
 				t.Fatal(err)
@@ -50,7 +60,13 @@ func snapshotDigests(t *testing.T) string {
 			}
 			n := 0
 			if _, err := g.RunWithCheckpoints(func(cycle uint64, data []byte) error {
-				fmt.Fprintf(&sb, "%s %s %d %d %x\n", bench, scheme, n, cycle, sha256.Sum256(data))
+				f, err := checkpoint.Decode(data)
+				if err != nil {
+					return err
+				}
+				for _, sec := range f.Sections() {
+					fmt.Fprintf(&sb, "%s %s %d %d %s %x\n", bench, scheme, n, cycle, sec.Name, sha256.Sum256(sec.Payload))
+				}
 				n++
 				return nil
 			}); err != nil {
