@@ -366,26 +366,6 @@ func Fig22(r *Runner) (string, error) {
 		stats.Table(header, rows), nil
 }
 
-// verifyPath names the mechanism a scheme uses to decide a read's
-// integrity verdict — the column that distinguishes the scheme families
-// in the frontier table.
-func verifyPath(sc secmem.Config) string {
-	switch {
-	case sc.NoSecurity:
-		return "none"
-	case sc.SSM:
-		return fmt.Sprintf("reconstruct %d-of-%d", sc.SSMThreshold, sc.SSMShares)
-	case sc.MGX:
-		return "mac+bmt, derived versions"
-	case sc.ValueVerify:
-		return "value-match, mac+bmt fallback"
-	case sc.NoTreeTraffic:
-		return "mac+bmt (tree traffic elided)"
-	default:
-		return "mac+bmt"
-	}
-}
-
 // Frontier is the cross-scheme comparison the registry implies: one row
 // per registered scheme, normalized to the no-security baseline. It
 // iterates secmem.Names() rather than a hand-kept list, so registering
@@ -434,7 +414,7 @@ func Frontier(r *Runner) (string, error) {
 			fmt.Sprintf("%.3f", stats.GeoMean(ipc)),
 			fmt.Sprintf("%.3f", stats.GeoMean(dram)),
 			fmt.Sprintf("%.2f", metaMean),
-			verifyPath(sc),
+			sc.VerifyPath(),
 		})
 	}
 	return "Geomean IPC and DRAM traffic normalized to no security, by registered scheme\n" +

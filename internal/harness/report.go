@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"github.com/plutus-gpu/plutus/internal/counters"
 	"github.com/plutus-gpu/plutus/internal/secmem"
 	"github.com/plutus-gpu/plutus/internal/stats"
 )
@@ -44,9 +45,13 @@ func Report(st *stats.Stats, sc secmem.Config) string {
 		100*float64(st.Traffic.MetadataBytes())/float64(st.Traffic.Bytes(stats.Data)))
 
 	fmt.Fprintf(&b, "L2 hit rate: %.1f%%\n", 100*st.L2.HitRate())
-	if !sc.NoSecurity {
+	if sc.Verifier != secmem.VerifierNone {
 		fmt.Fprintf(&b, "counter / MAC / BMT cache hit rates: %.1f%% / %.1f%% / %.1f%%\n",
 			100*st.CounterCache.HitRate(), 100*st.MACCache.HitRate(), 100*st.BMTCache.HitRate())
+		if sc.Compact != counters.CompactOff {
+			fmt.Fprintf(&b, "compact counter / compact BMT cache hit rates: %.1f%% / %.1f%%\n",
+				100*st.CompactCache.HitRate(), 100*st.CompactBMTC.HitRate())
+		}
 		fmt.Fprintf(&b, "value-verified reads: %d   MAC-verified reads: %d   MAC updates skipped: %d\n",
 			st.Sec.ValueVerified, st.Sec.MACVerified, st.Sec.MACSkippedWrites)
 		fmt.Fprintf(&b, "compact: hits %d, overflow double-accesses %d, disabled accesses %d\n",

@@ -4,6 +4,14 @@
 // techniques layered on top (value-based integrity verification, compact
 // mirrored counters, and fine-granularity metadata blocks).
 //
+// A scheme is a composition, not a set of flags: Config names one value
+// per component — the Verifier that decides a read's verdict, the
+// VersionSource that supplies encryption counters, the Tree update
+// policy, the compact-counter design, the metadata granularity and the
+// cipher — and the registry (ByName) maps each scheme name to one such
+// composition. Attack surfaces and report labels are derived from the
+// components.
+//
 // One Engine serves one memory partition, as in PSSM: it owns the
 // partition's metadata caches, its value cache, its split-counter state,
 // its integrity trees, and its DRAM channel. The datapath is functionally
@@ -22,7 +30,6 @@ import (
 	"github.com/plutus-gpu/plutus/internal/crypto/gcipher"
 	"github.com/plutus-gpu/plutus/internal/crypto/siphash"
 	"github.com/plutus-gpu/plutus/internal/geom"
-	"github.com/plutus-gpu/plutus/internal/sim"
 	"github.com/plutus-gpu/plutus/internal/valcache"
 )
 
@@ -73,13 +80,79 @@ func (g Granularity) BMTNodeBytes() int {
 	return 128
 }
 
+// Scheme components. The zero value of each is the PSSM baseline's
+// choice, so a zero Config is PSSM's datapath: CME, split counters, MAC
+// verification and a lazily updated tree. The paper's ablations
+// (Figs. 15–17, 20) change one component at a time.
+
+// Verifier is the component that decides a read's integrity verdict.
+type Verifier uint8
+
+const (
+	// VerifierMAC checks each sector against a MAC stored in DRAM, under
+	// encryption counters the BMT keeps fresh (PSSM).
+	VerifierMAC Verifier = iota
+	// VerifierValue accepts a sector whose decrypted words hit the value
+	// cache and falls back to the MAC otherwise (§IV-C). Needs XTS.
+	VerifierValue
+	// VerifierShares stores each sector as ssmShares Shamir shares and
+	// verifies by k-of-n reconstruction consistency: no counters, MACs
+	// or tree exist (the ssm frontier scheme).
+	VerifierShares
+	// VerifierNone verifies nothing and stores plaintext (the
+	// no-security normalization baseline).
+	VerifierNone
+)
+
+// countered reports whether the verifier runs on the counter-mode
+// datapath: encrypted data, stored counters, per-sector MACs and a BMT.
+func (v Verifier) countered() bool { return v <= VerifierValue }
+
+// VersionSource is the component that supplies each sector's
+// encryption version (counter).
+type VersionSource uint8
+
+const (
+	// VersionsSplit reads versions from the stored split counters,
+	// verified through the BMT.
+	VersionsSplit VersionSource = iota
+	// VersionsCommonRegion models Na et al. [18]: an on-chip tracker of
+	// commonRegionBytes regions; reads of never-written regions know
+	// their all-zero counters on-chip and skip counter and tree traffic.
+	VersionsCommonRegion
+	// VersionsDerived is the mgx frontier scheme: sectors on
+	// workload-declared regular write streams derive their versions
+	// on-chip from the stream cursor (Engine.StreamHint, the
+	// secmem↔workload contract); sectors written off every stream fall
+	// back to the stored split counters.
+	VersionsDerived
+)
+
+// Tree is the component that keeps the integrity tree over the stored
+// counters up to date.
+type Tree uint8
+
+const (
+	// TreeLazy rides tree updates on metadata-cache evictions, as every
+	// evaluated configuration does.
+	TreeLazy Tree = iota
+	// TreeEager propagates every counter update to the root at once
+	// (paper §II-A3's eager scheme), for the lazy-vs-eager ablation.
+	TreeEager
+	// TreeNoTraffic keeps the tree but charges none of its traffic,
+	// modelling the MGX/TNPU/softVN-style comparison of Fig. 20.
+	TreeNoTraffic
+)
+
 // Config describes one partition's secure-memory scheme.
 type Config struct {
 	// Scheme is the display name used in result tables.
 	Scheme string
 
-	// NoSecurity disables everything (the normalization baseline).
-	NoSecurity bool
+	// Verifier, Versions and Tree are the scheme's components.
+	Verifier Verifier
+	Versions VersionSource
+	Tree     Tree
 
 	// Encryption selects CME (PSSM baseline) or XTS (Plutus).
 	Encryption gcipher.Mode
@@ -95,71 +168,33 @@ type Config struct {
 	// CompactThreshold is the adaptive disable threshold (0 = default 8).
 	CompactThreshold int
 
-	// ValueVerify enables value-based integrity verification (§IV-C).
-	ValueVerify bool
-	// Value configures the value cache (used when ValueVerify is set).
+	// Value configures the value cache of VerifierValue.
 	Value valcache.Config
-
-	// CommonCounters models Na et al. [18]: a 16 KiB-region on-chip
-	// write tracker; reads of never-written regions skip counter and
-	// tree traffic entirely.
-	CommonCounters bool
-	// CommonRegionBytes is the tracking granularity (default 16 KiB).
-	CommonRegionBytes int
-
-	// NoTreeTraffic eliminates all integrity-tree traffic, modelling the
-	// MGX/TNPU/softVN-style comparison of Fig. 20.
-	NoTreeTraffic bool
-
-	// MGX enables the mgx frontier scheme: sectors on workload-declared
-	// regular write streams derive their version numbers on-chip from the
-	// stream cursor (Engine.StreamHint, the secmem↔workload contract)
-	// instead of fetching stored counter blocks; sectors written outside
-	// a declared stream fall back to the stored split-counter + BMT path.
-	MGX bool
-
-	// SSM enables the secret-sharing frontier scheme: every data sector
-	// is stored as SSMShares Shamir shares scattered across the protected
-	// space, and k-of-n reconstruction replaces the counter/MAC/BMT
-	// verify path entirely (tamper surfaces as reconstruction failure).
-	SSM bool
-	// SSMShares is n, the total shares per sector (default 3).
-	SSMShares int
-	// SSMThreshold is k, the shares needed to reconstruct (default 2).
-	// The n-k surplus shares are the redundancy that detects tampering.
-	SSMThreshold int
-
-	// EagerTreeUpdate propagates every counter update to the tree root
-	// immediately (paper §II-A3's "eager update scheme") instead of
-	// riding updates on cache evictions (the lazy scheme all evaluated
-	// configurations use). Exists for the lazy-vs-eager ablation.
-	EagerTreeUpdate bool
 
 	// ProtectedBytes is the partition's protected data capacity.
 	ProtectedBytes uint64
 
 	// MetaCacheBytes sizes each metadata cache (paper: 2 KiB each).
 	MetaCacheBytes int
-	// MetaCacheWays is the associativity (paper: 4).
-	MetaCacheWays int
-	// MetaMSHRs bounds outstanding metadata misses per cache.
-	MetaMSHRs int
-
-	// MACLatency is the MAC engine latency (paper Table II: 40 cycles).
-	MACLatency sim.Cycle
-	// AESLatency is the AES pipeline latency per sector.
-	AESLatency sim.Cycle
 
 	// Key seeds all cryptographic keys for the partition.
 	Key [32]byte
 }
 
-// Default latencies and sizes from the paper's Tables I/II.
+// DefaultMetaCacheBytes is the paper's per-cache metadata capacity
+// (Table II).
+const DefaultMetaCacheBytes = 2048
+
+// Fixed parameters from the paper's Tables I/II and the frontier
+// schemes' published designs.
 const (
-	DefaultMetaCacheBytes = 2048
-	DefaultMACLatency     = 40
-	DefaultAESLatency     = 30
-	DefaultRegionBytes    = 16 * 1024
+	metaCacheWays     = 4         // metadata-cache associativity
+	metaMSHRs         = 256       // outstanding misses per metadata cache
+	macLatency        = 40        // MAC engine latency, cycles
+	aesLatency        = 30        // AES pipeline latency per sector, cycles
+	commonRegionBytes = 16 * 1024 // VersionsCommonRegion tracking granularity
+	ssmShares         = 3         // VerifierShares: n, shares per sector
+	ssmThreshold      = 2         // VerifierShares: k, shares to reconstruct
 )
 
 // Normalize fills zero-valued fields with paper defaults and validates.
@@ -167,67 +202,39 @@ func (c *Config) Normalize() error {
 	if c.MetaCacheBytes == 0 {
 		c.MetaCacheBytes = DefaultMetaCacheBytes
 	}
-	if c.MetaCacheWays == 0 {
-		c.MetaCacheWays = 4
-	}
-	if c.MetaMSHRs == 0 {
-		c.MetaMSHRs = 256
-	}
-	if c.MACLatency == 0 {
-		c.MACLatency = DefaultMACLatency
-	}
-	if c.AESLatency == 0 {
-		c.AESLatency = DefaultAESLatency
-	}
-	if c.CommonRegionBytes == 0 {
-		c.CommonRegionBytes = DefaultRegionBytes
-	}
 	if c.ProtectedBytes == 0 {
 		c.ProtectedBytes = 64 << 20
 	}
 	if c.MACBytes == 0 {
 		c.MACBytes = 8
 	}
-	if c.ValueVerify && c.Value.Entries == 0 {
+	if c.Verifier == VerifierValue && c.Value.Entries == 0 {
 		c.Value = valcache.DefaultConfig()
 	}
-	if c.SSM {
-		if c.SSMShares == 0 {
-			c.SSMShares = 3
-		}
-		if c.SSMThreshold == 0 {
-			c.SSMThreshold = 2
-		}
-	}
-	if c.NoSecurity {
-		return nil
-	}
-	if c.SSM {
-		switch {
-		case c.MGX || c.ValueVerify || c.Compact != counters.CompactOff || c.CommonCounters:
-			return fmt.Errorf("secmem: SSM composes with no counter/MAC/tree mechanism (shares are the whole datapath)")
-		case c.SSMThreshold < 2 || c.SSMShares <= c.SSMThreshold || c.SSMShares > 8:
-			return fmt.Errorf("secmem: SSM needs 2 ≤ k < n ≤ 8 shares; got k=%d n=%d", c.SSMThreshold, c.SSMShares)
-		case c.ProtectedBytes%uint64(geom.BlockSize) != 0:
-			return fmt.Errorf("secmem: protected size %d not block aligned", c.ProtectedBytes)
-		}
-		return nil
-	}
-	if c.MGX && (c.Compact != counters.CompactOff || c.CommonCounters || c.ValueVerify) {
-		return fmt.Errorf("secmem: MGX derived versions compose only with the plain MAC+BMT fallback path")
-	}
+	return c.validate()
+}
+
+// validate holds every rule on which components compose.
+func (c *Config) validate() error {
 	switch {
-	case c.MACBytes != 1 && c.MACBytes != 2 && c.MACBytes != 4 && c.MACBytes != 8:
-		return fmt.Errorf("secmem: MAC size %d B not a power of two ≤ 8", c.MACBytes)
+	case c.Verifier > VerifierNone || c.Versions > VersionsDerived || c.Tree > TreeNoTraffic:
+		return fmt.Errorf("secmem: unknown component (verifier %d, versions %d, tree %d)", c.Verifier, c.Versions, c.Tree)
+	case !c.Verifier.countered() && (c.Versions != VersionsSplit || c.Compact != counters.CompactOff || c.Tree != TreeLazy):
+		return fmt.Errorf("secmem: share and no-security verifiers compose with no version source, compact counters or tree")
+	case c.Verifier == VerifierNone:
+		return nil
 	case c.ProtectedBytes%uint64(geom.BlockSize) != 0:
 		return fmt.Errorf("secmem: protected size %d not block aligned", c.ProtectedBytes)
-	case c.ValueVerify && c.Encryption != gcipher.ModeXTS:
+	case c.Verifier == VerifierShares:
+		return nil
+	case c.MACBytes != 1 && c.MACBytes != 2 && c.MACBytes != 4 && c.MACBytes != 8:
+		return fmt.Errorf("secmem: MAC size %d B not a power of two ≤ 8", c.MACBytes)
+	case c.Versions == VersionsDerived && (c.Compact != counters.CompactOff || c.Verifier == VerifierValue):
+		return fmt.Errorf("secmem: derived versions compose only with MAC verification over split counters")
+	case c.Verifier == VerifierValue && c.Encryption != gcipher.ModeXTS:
 		return fmt.Errorf("secmem: value verification requires XTS (malleability resistance); got %v", c.Encryption)
-	}
-	if c.ValueVerify {
-		if err := c.Value.Validate(); err != nil {
-			return err
-		}
+	case c.Verifier == VerifierValue:
+		return c.Value.Validate()
 	}
 	return nil
 }
@@ -236,7 +243,7 @@ func (c *Config) Normalize() error {
 
 // Baseline returns the no-security configuration.
 func Baseline(protected uint64) Config {
-	return Config{Scheme: "nosec", NoSecurity: true, ProtectedBytes: protected}
+	return Config{Scheme: "nosec", Verifier: VerifierNone, ProtectedBytes: protected}
 }
 
 // PSSM returns the paper's baseline: CME, sectored split counters, 8 B
@@ -264,7 +271,7 @@ func PSSM4B(protected uint64) Config {
 func CommonCtr(protected uint64) Config {
 	c := PSSM(protected)
 	c.Scheme = "pssm+cc"
-	c.CommonCounters = true
+	c.Versions = VersionsCommonRegion
 	return c
 }
 
@@ -273,7 +280,7 @@ func PlutusValueOnly(protected uint64) Config {
 	c := PSSM(protected)
 	c.Scheme = "plutus-V"
 	c.Encryption = gcipher.ModeXTS
-	c.ValueVerify = true
+	c.Verifier = VerifierValue
 	c.Value = valcache.DefaultConfig()
 	return c
 }
@@ -303,7 +310,7 @@ func Plutus(protected uint64) Config {
 		MACBytes:       8,
 		Granularity:    GranAll32,
 		Compact:        counters.Compact3BitAdaptive,
-		ValueVerify:    true,
+		Verifier:       VerifierValue,
 		Value:          valcache.DefaultConfig(),
 		ProtectedBytes: protected,
 	}
@@ -314,7 +321,7 @@ func Plutus(protected uint64) Config {
 func PlutusNoTree(protected uint64) Config {
 	c := Plutus(protected)
 	c.Scheme = "plutus-notree"
-	c.NoTreeTraffic = true
+	c.Tree = TreeNoTraffic
 	return c
 }
 
@@ -331,7 +338,7 @@ func MGXConfig(protected uint64) Config {
 		Encryption:     gcipher.ModeXTS,
 		MACBytes:       8,
 		Granularity:    GranAll32,
-		MGX:            true,
+		Versions:       VersionsDerived,
 		ProtectedBytes: protected,
 	}
 }
@@ -346,9 +353,7 @@ func MGXConfig(protected uint64) Config {
 func SSMConfig(protected uint64) Config {
 	return Config{
 		Scheme:         "ssm",
-		SSM:            true,
-		SSMShares:      3,
-		SSMThreshold:   2,
+		Verifier:       VerifierShares,
 		ProtectedBytes: protected,
 	}
 }
@@ -406,17 +411,38 @@ func ByName(name string, protected uint64) (Config, error) {
 
 // HasDRAMMAC reports whether the scheme stores per-sector MACs in DRAM
 // (the mac-corrupt attack surface).
-func (c Config) HasDRAMMAC() bool { return !c.NoSecurity && !c.SSM }
+func (c Config) HasDRAMMAC() bool { return c.Verifier.countered() }
 
 // HasDRAMCounters reports whether the scheme stores encryption counters
-// in DRAM (the ctr-rollback attack surface). mgx qualifies: its
-// irregular-write fallback keeps the stored split counters.
-func (c Config) HasDRAMCounters() bool { return !c.NoSecurity && !c.SSM }
+// in DRAM (the ctr-rollback attack surface). Every version source does:
+// derived versions keep the stored split counters as their
+// irregular-write fallback.
+func (c Config) HasDRAMCounters() bool { return c.Verifier.countered() }
 
 // HasDRAMTree reports whether the scheme maintains a DRAM-resident
-// integrity tree (the bmt-corrupt attack surface). NoTreeTraffic elides
+// integrity tree (the bmt-corrupt attack surface). TreeNoTraffic elides
 // the tree's traffic, not the tree itself.
-func (c Config) HasDRAMTree() bool { return !c.NoSecurity && !c.SSM }
+func (c Config) HasDRAMTree() bool { return c.Verifier.countered() }
+
+// VerifyPath names the mechanism that decides a read's integrity
+// verdict — the column that tells the scheme families apart in the
+// frontier table.
+func (c Config) VerifyPath() string {
+	switch {
+	case c.Verifier == VerifierNone:
+		return "none"
+	case c.Verifier == VerifierShares:
+		return fmt.Sprintf("reconstruct %d-of-%d", ssmThreshold, ssmShares)
+	case c.Versions == VersionsDerived:
+		return "mac+bmt, derived versions"
+	case c.Verifier == VerifierValue:
+		return "value-match, mac+bmt fallback"
+	case c.Tree == TreeNoTraffic:
+		return "mac+bmt (tree traffic elided)"
+	default:
+		return "mac+bmt"
+	}
+}
 
 // keys derives the distinct engine keys from the config key material.
 func (c *Config) keys() (enc [32]byte, mac siphash.Key, tree siphash.Key) {
@@ -435,7 +461,7 @@ func (c *Config) metaCache(name string, blockBytes int) *cache.Cache {
 		Name:      name,
 		SizeBytes: c.MetaCacheBytes,
 		BlockSize: blockBytes,
-		Ways:      c.MetaCacheWays,
-		MSHRs:     c.MetaMSHRs,
+		Ways:      metaCacheWays,
+		MSHRs:     metaMSHRs,
 	})
 }

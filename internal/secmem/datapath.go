@@ -132,8 +132,8 @@ func (e *Engine) joined(id uint64) {
 	switch {
 	case !r.write:
 		// Data and counters have arrived; decrypt, then verify.
-		e.eng.ScheduleCall(e.cfg.AESLatency, sim.Call{H: e.h.decrypted, Arg: id})
-	case e.cfg.SSM:
+		e.eng.ScheduleCall(aesLatency, sim.Call{H: e.h.decrypted, Arg: id})
+	case e.cfg.Verifier == VerifierShares:
 		e.finishWrite(id)
 	default:
 		if !r.freshOK {
@@ -213,8 +213,12 @@ func (e *Engine) read(local geom.Addr, done sim.Call, fn func(ReadResult)) {
 	id := e.reqs.Get()
 	r := e.reqs.At(id)
 	r.local, r.freshOK, r.done, r.fn = local, true, done, fn
-	if e.cfg.NoSecurity || e.cfg.SSM {
-		e.readOther(id)
+	switch e.cfg.Verifier {
+	case VerifierShares:
+		e.ssmRead(local, id)
+		return
+	case VerifierNone:
+		e.ch.AccessCall(local, false, stats.Data, sim.Call{H: e.h.nosecReadDone, Arg: id})
 		return
 	}
 	// Demand data fetch.
@@ -222,17 +226,6 @@ func (e *Engine) read(local geom.Addr, done sim.Call, fn func(ReadResult)) {
 	// Counter acquisition (may be free, cached, or multiple fetches).
 	e.acquireCounter(local, id)
 	e.seal(id)
-}
-
-// readOther starts a read under the schemes without counters: nosec's
-// bare data fetch, or ssm's share fetches.
-func (e *Engine) readOther(id uint64) {
-	local := e.reqs.At(id).local
-	if e.cfg.SSM {
-		e.ssmRead(local, id)
-		return
-	}
-	e.ch.AccessCall(local, false, stats.Data, sim.Call{H: e.h.nosecReadDone, Arg: id})
 }
 
 // onNoSecReadDone completes a nosec read. No verification exists: a read
@@ -277,7 +270,7 @@ func (e *Engine) deliver(fn func(ReadResult)) {
 //
 //simlint:hotpath
 func (e *Engine) onDecrypted(id uint64) {
-	if e.cfg.SSM {
+	if e.cfg.Verifier == VerifierShares {
 		e.ssmCompleteRead(id)
 		return
 	}
@@ -328,7 +321,7 @@ func (e *Engine) onDecrypted(id uint64) {
 //
 //simlint:hotpath
 func (e *Engine) onMACFetched(id uint64) {
-	e.eng.ScheduleCall(e.cfg.MACLatency, sim.Call{H: e.h.macChecked, Arg: id})
+	e.eng.ScheduleCall(macLatency, sim.Call{H: e.h.macChecked, Arg: id})
 }
 
 // onMACChecked records the MAC verdict fixed at decrypt time and
@@ -384,13 +377,20 @@ func (e *Engine) WritebackCall(local geom.Addr, data []byte, done sim.Call) {
 	r := e.reqs.At(id)
 	r.local, r.write, r.freshOK, r.done = local, true, true, done
 	copy(r.pt[:], data)
-	if e.cfg.NoSecurity || e.cfg.SSM {
-		e.writeOther(id)
+	switch e.cfg.Verifier {
+	case VerifierShares:
+		e.ssmWrite(id)
+		return
+	case VerifierNone:
+		i := e.sectorIdx(local)
+		copy(e.mem.Put(i), r.pt[:])
+		e.taintData.Clear(i) // overwritten: corruption gone
+		e.ch.AccessCall(local, true, stats.Data, sim.Call{H: e.h.writeDone, Arg: id})
 		return
 	}
 
 	// The first write to a region ends its common-counter (all-zero) era.
-	if e.cfg.CommonCounters {
+	if e.cfg.Versions == VersionsCommonRegion {
 		e.regionWritten.Set(e.regionOf(local))
 	}
 	// The counter must be on-chip (and verified) before it is bumped.
@@ -398,24 +398,11 @@ func (e *Engine) WritebackCall(local geom.Addr, data []byte, done sim.Call) {
 	e.seal(id)
 }
 
-// writeOther starts a write under the schemes without counters.
-func (e *Engine) writeOther(id uint64) {
-	r := e.reqs.At(id)
-	if e.cfg.SSM {
-		e.ssmWrite(id)
-		return
-	}
-	i := e.sectorIdx(r.local)
-	copy(e.mem.Put(i), r.pt[:])
-	e.taintData.Clear(i) // overwritten: corruption gone
-	e.ch.AccessCall(r.local, true, stats.Data, sim.Call{H: e.h.writeDone, Arg: id})
-}
-
 // onWriteEncrypted issues the data write once encryption is done.
 //
 //simlint:hotpath
 func (e *Engine) onWriteEncrypted(id uint64) {
-	if e.cfg.SSM {
+	if e.cfg.Verifier == VerifierShares {
 		e.ssmWriteShares(id)
 		return
 	}
@@ -442,7 +429,7 @@ func (e *Engine) commitWrite(id uint64) {
 	pt := r.pt[:] // stable: nothing below starts another request
 	i := e.sectorIdx(local)
 
-	mgxDerived := e.cfg.MGX && e.mgxDerived.Get(i)
+	mgxDerived := e.cfg.Versions == VersionsDerived && e.mgxDerived.Get(i)
 	if mgxDerived {
 		e.mgxBumpVersion(i)
 	} else {
@@ -517,7 +504,7 @@ func (e *Engine) commitWrite(id uint64) {
 	}
 
 	// Encrypt latency then the data write transaction.
-	e.eng.ScheduleCall(e.cfg.AESLatency, sim.Call{H: e.h.writeEncrypted, Arg: id})
+	e.eng.ScheduleCall(aesLatency, sim.Call{H: e.h.writeEncrypted, Arg: id})
 }
 
 // dirtyOriginalCounter marks sector i's original counter sector dirty
@@ -531,7 +518,7 @@ func (e *Engine) dirtyOriginalCounter(i uint64) {
 	// Writing the unit replaces any attacker-replayed DRAM copy.
 	e.ctrReplayed.Clear(u)
 	e.tree.SetUnitHash(u, e.counterUnitHash(u))
-	if e.cfg.EagerTreeUpdate && !e.cfg.NoTreeTraffic {
+	if e.cfg.Tree == TreeEager {
 		e.eagerWritePath(e.tree, e.lay.bmtBase, u, stats.BMT)
 	}
 }
@@ -579,7 +566,7 @@ func (e *Engine) bumpCounter(local geom.Addr) {
 		g := e.split.GroupOf(i)
 		base := g * uint64(e.split.Config().GroupSize)
 		for k := 0; k < e.split.Config().GroupSize; k++ {
-			if e.cfg.MGX && e.mgxDerived.Get(base+uint64(k)) {
+			if e.cfg.Versions == VersionsDerived && e.mgxDerived.Get(base+uint64(k)) {
 				// Derived group-mates don't ride the split counters: the
 				// major bump doesn't change their effective version, so
 				// they must not be re-encrypted.
@@ -607,20 +594,13 @@ func (e *Engine) bumpCounter(local geom.Addr) {
 
 // --- counter acquisition ---
 
-// ctrFetchMask is the sector mask for a counter-unit fetch: the whole
-// 128 B block for GranAll128, a single 32 B sector otherwise.
-func (e *Engine) ctrFetchMask(unitAddr geom.Addr) geom.SectorMask {
+// unitFetchMask is the sector mask for a counter-unit fetch through mc:
+// the whole 128 B block for GranAll128, a single 32 B sector otherwise.
+func (e *Engine) unitFetchMask(mc *cache.Cache, unitAddr geom.Addr) geom.SectorMask {
 	if e.cfg.Granularity.CounterUnitBytes() == geom.BlockSize {
 		return geom.AllSectors
 	}
-	return e.ctrCache.MaskFor(unitAddr)
-}
-
-func (e *Engine) cctrFetchMask(unitAddr geom.Addr) geom.SectorMask {
-	if e.cfg.Granularity.CounterUnitBytes() == geom.BlockSize {
-		return geom.AllSectors
-	}
-	return e.cctrCache.MaskFor(unitAddr)
+	return mc.MaskFor(unitAddr)
 }
 
 // acquireCounter arranges for sector local's encryption counter to be
@@ -635,7 +615,7 @@ func (e *Engine) acquireCounter(local geom.Addr, id uint64) {
 	// mgx fast path: a derived sector's version is regenerated on-chip
 	// from the stream cursor — no counter fetch, no tree walk, nothing
 	// to verify. Irregular sectors fall through to the stored path.
-	if e.cfg.MGX {
+	if e.cfg.Versions == VersionsDerived {
 		if e.mgxClassify(i, local) {
 			e.st.Sec.DerivedVersions++
 			return
@@ -645,7 +625,7 @@ func (e *Engine) acquireCounter(local geom.Addr, id uint64) {
 
 	// Common-counters fast path: a never-written region has all-zero
 	// counters known on-chip; no counter or tree traffic at all.
-	if e.cfg.CommonCounters && !e.regionWritten.Get(e.regionOf(local)) {
+	if e.cfg.Versions == VersionsCommonRegion && !e.regionWritten.Get(e.regionOf(local)) {
 		return
 	}
 
@@ -681,7 +661,7 @@ func (e *Engine) acquireCounter(local geom.Addr, id uint64) {
 func (e *Engine) fetchCounterUnit(i uint64, id uint64, sub bool) {
 	u := e.ctrUnitOf(i)
 	ua := e.ctrUnitAddr(u)
-	mask := e.ctrFetchMask(ua)
+	mask := e.unitFetchMask(e.ctrCache, ua)
 
 	before := e.ctrCache.Probe(ua) & mask
 	e.fetchMeta(e.ctrCache, ua, mask, stats.Counter, e.arm(id, sub))
@@ -692,7 +672,7 @@ func (e *Engine) fetchCounterUnit(i uint64, id uint64, sub bool) {
 	if !e.tree.VerifyUnit(u, e.counterUnitHash(u)) {
 		e.reqs.At(id).freshOK = false
 	}
-	if !e.cfg.NoTreeTraffic {
+	if e.cfg.Tree != TreeNoTraffic {
 		e.walkTree(e.tree, e.bmtCache, e.lay.bmtBase, u, stats.BMT, id, sub)
 	}
 }
@@ -704,7 +684,7 @@ func (e *Engine) fetchCounterUnit(i uint64, id uint64, sub bool) {
 func (e *Engine) fetchCompactUnit(i uint64, id uint64, sub bool) {
 	u := e.cctrUnitOf(i)
 	ua := e.cctrUnitAddr(u)
-	mask := e.cctrFetchMask(ua)
+	mask := e.unitFetchMask(e.cctrCache, ua)
 
 	before := e.cctrCache.Probe(ua) & mask
 	e.fetchMeta(e.cctrCache, ua, mask, stats.CompactCounter, e.arm(id, sub))
@@ -714,7 +694,7 @@ func (e *Engine) fetchCompactUnit(i uint64, id uint64, sub bool) {
 	if !e.ctree.VerifyUnit(u, e.compactUnitHash(u)) {
 		e.reqs.At(id).freshOK = false
 	}
-	if !e.cfg.NoTreeTraffic {
+	if e.cfg.Tree != TreeNoTraffic {
 		e.walkTree(e.ctree, e.cbmtCache, e.lay.cbmtBase, u, stats.CompactBMT, id, sub)
 	}
 }
@@ -861,8 +841,9 @@ func (e *Engine) unitOfCctrAddr(a geom.Addr) uint64 {
 // cache (the lazy-update scheme: a dirty counter writeback makes its
 // parent hash stale in memory until that node is itself written back).
 func (e *Engine) propagateDirty(t *bmt.Tree, mc *cache.Cache, base geom.Addr, u uint64, cl stats.Class) {
-	if e.cfg.NoTreeTraffic || e.cfg.EagerTreeUpdate {
-		// Eager mode already wrote the whole path at update time.
+	if e.cfg.Tree != TreeLazy {
+		// An eager tree already wrote the whole path at update time; a
+		// traffic-elided one charges nothing.
 		return
 	}
 	path := t.Path(u)

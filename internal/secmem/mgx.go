@@ -34,7 +34,7 @@ type StreamCursorSource interface {
 //
 //simlint:hotpath
 func (e *Engine) counterOf(i uint64) uint64 {
-	if e.cfg.MGX && e.mgxDerived.Get(i) {
+	if e.cfg.Versions == VersionsDerived && e.mgxDerived.Get(i) {
 		return e.mgxVer.Get(i)
 	}
 	return e.split.Value(i)
@@ -78,7 +78,7 @@ func (e *Engine) mgxBumpVersion(i uint64) {
 func (e *Engine) SkewDerivedVersion(local geom.Addr) bool {
 	local = geom.SectorAddr(local)
 	i := e.sectorIdx(local)
-	if !e.cfg.MGX || !e.mgxDerived.Get(i) {
+	if e.cfg.Versions != VersionsDerived || !e.mgxDerived.Get(i) {
 		return false
 	}
 	e.materialize(local) // pin the ciphertext under the current version

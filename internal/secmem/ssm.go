@@ -105,25 +105,18 @@ func (e *Engine) initSSM() error {
 		return fmt.Errorf("secmem: ssm needs at least one protected sector")
 	}
 
-	k, n := e.cfg.SSMThreshold, e.cfg.SSMShares
-	e.ssmRot = make([]uint64, n)
+	const k, n = ssmThreshold, ssmShares
 	for r := 1; r < n; r++ {
 		var msg [8]byte
 		binary.LittleEndian.PutUint64(msg[:], uint64(r))
 		e.ssmRot[r] = siphash.Sum64(e.treeKey, msg[:]) % e.lay.dataSectors
 	}
 
-	e.ssmRecon = make([]byte, k)
 	for r := 0; r < k; r++ {
 		e.ssmRecon[r] = lagrangeAt(r, k, 0)
-	}
-	e.ssmCheck = make([][]byte, n-k)
-	for c := 0; c < n-k; c++ {
-		row := make([]byte, k)
-		for r := 0; r < k; r++ {
-			row[r] = lagrangeAt(r, k, byte(k+c+1))
+		for c := 0; c < n-k; c++ {
+			e.ssmCheck[c][r] = lagrangeAt(r, k, byte(k+c+1))
 		}
-		e.ssmCheck[c] = row
 	}
 	return nil
 }
@@ -164,8 +157,8 @@ func (e *Engine) ssmPad(buf *[geom.SectorSize]byte, i, ver uint64, d int) {
 // slot of the functional DRAM image.
 func (e *Engine) ssmStoreShares(i uint64, pt []byte) {
 	ver := e.ssmVer.Get(i)
-	k, n := e.cfg.SSMThreshold, e.cfg.SSMShares
-	var coefs [8][geom.SectorSize]byte
+	const k, n = ssmThreshold, ssmShares
+	var coefs [k][geom.SectorSize]byte
 	for d := 1; d < k; d++ {
 		e.ssmPad(&coefs[d], i, ver, d)
 	}
@@ -215,8 +208,8 @@ func (e *Engine) ssmShare0(i uint64) []byte {
 // tampered.
 func (e *Engine) ssmReconstruct(dst []byte, i uint64) bool {
 	e.ssmEnsure(i)
-	k, n := e.cfg.SSMThreshold, e.cfg.SSMShares
-	var shares [8][]byte // Normalize bounds n at 8
+	const k, n = ssmThreshold, ssmShares
+	var shares [n][]byte
 	for r := 0; r < n; r++ {
 		s, _ := e.mem.Lookup(e.ssmSlot(r, i))
 		shares[r] = s
@@ -250,7 +243,7 @@ func (e *Engine) ssmReconstruct(dst []byte, i uint64) bool {
 // and ssmCompleteRead reconstructs and classifies.
 func (e *Engine) ssmRead(local geom.Addr, id uint64) {
 	i := e.sectorIdx(local)
-	for r := 0; r < e.cfg.SSMShares; r++ {
+	for r := 0; r < ssmShares; r++ {
 		e.ch.AccessCall(e.ssmSlotAddr(r, i), false, stats.Data, e.arm(id, false))
 	}
 	e.seal(id)
@@ -294,14 +287,14 @@ func (e *Engine) ssmWrite(id uint64) {
 	// Every share's DRAM copy is rewritten wholesale: earlier mutations
 	// are gone.
 	e.taintData.Clear(i)
-	e.eng.ScheduleCall(e.cfg.AESLatency, sim.Call{H: e.h.writeEncrypted, Arg: id})
+	e.eng.ScheduleCall(aesLatency, sim.Call{H: e.h.writeEncrypted, Arg: id})
 }
 
 // ssmWriteShares issues the n share writes of request id; the write
 // completes when all have landed (see joined).
 func (e *Engine) ssmWriteShares(id uint64) {
 	i := e.sectorIdx(e.reqs.At(id).local)
-	for r := 0; r < e.cfg.SSMShares; r++ {
+	for r := 0; r < ssmShares; r++ {
 		e.ch.AccessCall(e.ssmSlotAddr(r, i), true, stats.Data, e.arm(id, false))
 	}
 	e.seal(id)
@@ -313,7 +306,7 @@ func (e *Engine) ssmWriteShares(id uint64) {
 // false when the engine is not running ssm or the region is out of
 // range.
 func (e *Engine) CorruptShare(local geom.Addr, region int) bool {
-	if !e.cfg.SSM || region < 0 || region >= e.cfg.SSMShares {
+	if e.cfg.Verifier != VerifierShares || region < 0 || region >= ssmShares {
 		return false
 	}
 	i := e.sectorIdx(geom.SectorAddr(local))
