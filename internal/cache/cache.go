@@ -19,6 +19,7 @@ package cache
 import (
 	"fmt"
 
+	"github.com/plutus-gpu/plutus/internal/dense"
 	"github.com/plutus-gpu/plutus/internal/geom"
 	"github.com/plutus-gpu/plutus/internal/sim"
 	"github.com/plutus-gpu/plutus/internal/stats"
@@ -57,6 +58,10 @@ type line struct {
 	lru   uint64
 }
 
+// invalidTag stands in the tag array for a way holding no valid sector.
+// Tags are block-aligned, so no lookup ever matches it.
+const invalidTag = ^geom.Addr(0)
+
 // Eviction describes a victim block leaving the cache. It is returned
 // by value; the zero Eviction (Valid == 0) means nothing was evicted.
 type Eviction struct {
@@ -81,36 +86,65 @@ type mshr struct {
 	pending geom.SectorMask // sectors requested from memory so far
 	arrived geom.SectorMask // sectors whose fill data has landed
 	gen     uint64          // incarnation; 0 while on the free list
-	waiters []sim.Call
-	// spare is the waiter list handed out by the entry's previous
-	// completion. The two lists swap at every completion, so waiters
-	// registered on a reincarnation of the entry while its caller still
-	// runs the old list never land in the slice being iterated, and
-	// neither list is ever reallocated once grown.
-	spare []sim.Call
+	// head and tail delimit the entry's waiters, a FIFO of nodes in the
+	// cache's waiter slab (nilNode when there are none).
+	head, tail int32
+	id         int32 // position in Cache.entries
+	nextFree   *mshr // free-list link while the entry is unused
 }
+
+// waiter is one node of a cache's waiter slab: a continuation queued on
+// an MSHR, or a free node.
+type waiter struct {
+	call sim.Call
+	next int32
+}
+
+// nilNode terminates waiter FIFOs and the slab's free list.
+const nilNode = int32(-1)
 
 // Cache is one cache instance. Create with New.
 type Cache struct {
-	cfg  Config
-	sets [][]line
+	cfg Config
+	// lines holds every way, set-major: set s owns
+	// lines[s*Ways : (s+1)*Ways].
+	lines []line
+	// tags mirrors lines' tags for the way scan in find, with invalidTag
+	// for ways that hold no valid sector.
+	//simlint:ignore snapsym derived from lines; Restore rebuilds it
+	tags []geom.Addr
 	//simlint:ignore snapsym derived from cfg.Sets at construction
 	setMask geom.Addr
 	//simlint:ignore snapsym derived from cfg.BlockBytes at construction
 	sectors  int // sectors per block
 	lruClock uint64
-	// inflight lists each set's live MSHR entries (misses in flight to
-	// one set are few, so a scan beats hashing); live counts them all.
+
+	// The MSHR file. index maps a block number to the id of its live
+	// entry; it grows with the peak number of misses in flight, so it
+	// never outgrows twice the MSHR count. Entries come from chunks that
+	// grow geometrically up to the MSHR count; entries lists them by id,
+	// and the unused ones form a free list.
 	//simlint:ignore snapsym in-flight misses, none whenever a snapshot is taken
-	inflight [][]*mshr
-	live     int
+	index dense.Index
+	live  int
 	//simlint:ignore snapsym MSHR entry pool, empty of live entries whenever a snapshot is taken
-	freeMSHRs []*mshr
+	entries []*mshr
+	//simlint:ignore snapsym MSHR entry pool, empty of live entries whenever a snapshot is taken
+	freeMSHRs *mshr
 	//simlint:ignore snapsym incarnation counter of the MSHR pool; only distinctness matters
 	mshrGen uint64
 	//simlint:ignore snapsym derived from cfg.MSHRs at construction
 	mshrLimit int
-	Stats     stats.CacheStats
+	// nodes is the waiter slab shared by every MSHR entry, with freeNode
+	// heading its free list; done holds the waiters handed out by the
+	// latest completion.
+	//simlint:ignore snapsym waiter slab, empty of queued continuations whenever a snapshot is taken
+	nodes []waiter
+	//simlint:ignore snapsym free list of the waiter slab
+	freeNode int32
+	//simlint:ignore snapsym continuations of the latest completion, run before the next event
+	done  []sim.Call
+	Stats stats.CacheStats
 }
 
 // New builds a cache from cfg.
@@ -119,17 +153,18 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := cfg.SizeBytes / (cfg.BlockSize * cfg.Ways)
-	sets := make([][]line, nSets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+	tags := make([]geom.Addr, nSets*cfg.Ways)
+	for i := range tags {
+		tags[i] = invalidTag
 	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		lines:     make([]line, nSets*cfg.Ways),
+		tags:      tags,
 		setMask:   geom.Addr(nSets - 1),
 		sectors:   cfg.BlockSize / geom.SectorSize,
-		inflight:  make([][]*mshr, nSets),
 		mshrLimit: cfg.MSHRs,
+		freeNode:  nilNode,
 	}, nil
 }
 
@@ -167,30 +202,51 @@ func (c *Cache) MaskFor(a geom.Addr) geom.SectorMask {
 // AllMask selects every sector of a block in this cache's geometry.
 func (c *Cache) AllMask() geom.SectorMask { return 1<<c.sectors - 1 }
 
-func (c *Cache) setIndex(block geom.Addr) geom.Addr {
-	return (block / geom.Addr(c.cfg.BlockSize)) & c.setMask
+// setBase returns the index in lines of block's set's first way.
+func (c *Cache) setBase(block geom.Addr) int {
+	return int((block/geom.Addr(c.cfg.BlockSize))&c.setMask) * c.cfg.Ways
 }
 
-func (c *Cache) setOf(block geom.Addr) []line {
-	return c.sets[c.setIndex(block)]
-}
-
-// inflightFor returns the live MSHR entry for block, or nil.
-func (c *Cache) inflightFor(block geom.Addr) *mshr {
-	for _, m := range c.inflight[c.setIndex(block)] {
-		if m.addr == block {
-			return m
+// find returns the index in lines of block's valid way, or -1.
+//
+//simlint:hotpath
+func (c *Cache) find(block geom.Addr) int {
+	base := c.setBase(block)
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == block {
+			return base + i
 		}
+	}
+	return -1
+}
+
+// line returns block's valid line, or nil.
+func (c *Cache) line(block geom.Addr) *line {
+	if i := c.find(block); i >= 0 {
+		return &c.lines[i]
 	}
 	return nil
 }
 
-func (c *Cache) find(block geom.Addr) *line {
-	set := c.setOf(block)
-	for i := range set {
-		if set[i].valid != 0 && set[i].tag == block {
-			return &set[i]
-		}
+// setTag records way i's line in the tag array.
+func (c *Cache) setTag(i int) {
+	c.tags[i] = invalidTag
+	if c.lines[i].valid != 0 {
+		c.tags[i] = c.lines[i].tag
+	}
+}
+
+// blockNum numbers block for the MSHR index.
+func (c *Cache) blockNum(block geom.Addr) uint64 {
+	return uint64(block / geom.Addr(c.cfg.BlockSize))
+}
+
+// inflightFor returns the live MSHR entry for block, or nil.
+//
+//simlint:hotpath
+func (c *Cache) inflightFor(block geom.Addr) *mshr {
+	if i, ok := c.index.Get(c.blockNum(block)); ok {
+		return c.entries[i]
 	}
 	return nil
 }
@@ -238,7 +294,7 @@ func (o Outcome) String() string {
 //simlint:hotpath
 func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone *sim.Call) (Outcome, geom.SectorMask, MSHR) {
 	block := c.blockAddr(addr)
-	ln := c.find(block)
+	ln := c.line(block)
 	if ln != nil && ln.valid&mask == mask {
 		c.lruClock++
 		ln.lru = c.lruClock
@@ -258,7 +314,7 @@ func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone 
 
 	if m := c.inflightFor(block); m != nil {
 		if onDone != nil {
-			m.waiters = append(m.waiters, *onDone)
+			c.addWaiter(m, *onDone)
 		}
 		still := need &^ m.pending
 		if still == 0 {
@@ -276,38 +332,72 @@ func (c *Cache) Lookup(addr geom.Addr, mask geom.SectorMask, write bool, onDone 
 	}
 	m := c.allocMSHR(block, need)
 	if onDone != nil {
-		m.waiters = append(m.waiters, *onDone)
+		c.addWaiter(m, *onDone)
 	}
 	c.Stats.Misses++
 	return Miss, need, MSHR{m, m.gen}
 }
 
-// allocMSHR takes an entry from the pool (growing it only while fewer
-// entries exist than have ever been in flight at once) and registers it
-// for block.
+// allocMSHR takes an entry from the pool and registers it for block.
 //
 //simlint:hotpath
 func (c *Cache) allocMSHR(block geom.Addr, need geom.SectorMask) *mshr {
-	var m *mshr
-	if n := len(c.freeMSHRs); n > 0 {
-		m = c.freeMSHRs[n-1]
-		c.freeMSHRs = c.freeMSHRs[:n-1]
-	} else {
-		m = newMSHR()
+	if c.freeMSHRs == nil {
+		c.growMSHRs()
 	}
+	m := c.freeMSHRs
+	c.freeMSHRs = m.nextFree
 	c.mshrGen++
-	m.addr, m.pending, m.arrived, m.gen = block, need, 0, c.mshrGen
-	si := c.setIndex(block)
-	c.inflight[si] = append(c.inflight[si], m)
+	*m = mshr{addr: block, pending: need, gen: c.mshrGen, head: nilNode, tail: nilNode, id: m.id}
+	c.index.Put(c.blockNum(block), m.id)
 	c.live++
 	return m
 }
 
-// newMSHR grows the pool by one entry; out of line, so the one-time
-// allocation stays out of the hot bodies it would be inlined into.
+// growMSHRs adds a chunk of free MSHR entries, as many as exist already
+// (at least four) but never more than the MSHR count; out of line, so
+// the rare allocation stays out of the hot bodies it would be inlined
+// into.
 //
 //go:noinline
-func newMSHR() *mshr { return &mshr{} }
+func (c *Cache) growMSHRs() {
+	made := len(c.entries)
+	chunk := make([]mshr, min(max(made, 4), c.mshrLimit-made))
+	for i := range chunk {
+		m := &chunk[i]
+		m.id, m.nextFree = int32(made+i), c.freeMSHRs
+		c.entries = append(c.entries, m)
+		c.freeMSHRs = m
+	}
+}
+
+// addWaiter queues call at the tail of m's waiters.
+//
+//simlint:hotpath
+func (c *Cache) addWaiter(m *mshr, call sim.Call) {
+	if c.freeNode == nilNode {
+		c.growNodes()
+	}
+	i := c.freeNode
+	c.freeNode = c.nodes[i].next
+	c.nodes[i] = waiter{call: call, next: nilNode}
+	if m.tail == nilNode {
+		m.head = i
+	} else {
+		c.nodes[m.tail].next = i
+	}
+	m.tail = i
+}
+
+// growNodes adds one free node to the waiter slab (append doubles the
+// backing array, so growth allocates rarely); out of line for the same
+// reason as growMSHRs.
+//
+//go:noinline
+func (c *Cache) growNodes() {
+	c.nodes = append(c.nodes, waiter{next: c.freeNode})
+	c.freeNode = int32(len(c.nodes) - 1)
+}
 
 // Fill installs all of the MSHR's pending sectors at once
 // (allocate-on-fill), returning any eviction needed to make room plus the
@@ -323,14 +413,16 @@ func (c *Cache) Fill(m MSHR, markDirty bool) (Eviction, []sim.Call) {
 
 // FillSectors records the arrival of some of an MSHR's sectors. The
 // sectors are installed immediately; the MSHR completes — returns to the
-// pool, handing back its waiters — only once every pending sector has
-// arrived, so a fill for an MSHR that was extended after this memory
-// request was issued cannot prematurely retire the extension. Fills
-// through a stale handle (the miss already completed) are no-ops.
+// pool, handing back its waiters in registration order — only once every
+// pending sector has arrived, so a fill for an MSHR that was extended
+// after this memory request was issued cannot prematurely retire the
+// extension. Fills through a stale handle (the miss already completed)
+// are no-ops.
 //
-// The returned waiter slice stays intact until the entry completes again,
-// which needs another fill event: callers run it before returning to the
-// event loop.
+// The returned waiter slice is the cache's own and stays intact until
+// the cache completes another MSHR, which needs another fill event:
+// callers run it before returning to the event loop. Waiters registered
+// meanwhile, even on the same recycled entry, never land in it.
 //
 //simlint:hotpath
 func (c *Cache) FillSectors(m MSHR, mask geom.SectorMask, markDirty bool) (ev Eviction, done bool, waiters []sim.Call) {
@@ -343,30 +435,31 @@ func (c *Cache) FillSectors(m MSHR, mask geom.SectorMask, markDirty bool) (ev Ev
 	if e.arrived != e.pending {
 		return ev, false, nil
 	}
-	c.retire(e)
-	e.gen = 0
-	waiters = e.waiters
-	clear(e.spare) // release the previous completion's continuations
-	e.waiters, e.spare = e.spare[:0], waiters
-	c.freeMSHRs = append(c.freeMSHRs, e)
-	return ev, true, waiters
+	return ev, true, c.retire(e)
 }
 
-// retire removes a completed entry from its set's in-flight list.
+// retire returns a completed entry to the pool and its waiter nodes to
+// the slab, handing back the waiters' continuations in c.done.
 //
 //simlint:hotpath
-func (c *Cache) retire(e *mshr) {
-	si := c.setIndex(e.addr)
-	list := c.inflight[si]
-	for i, m := range list {
-		if m == e {
-			last := len(list) - 1
-			list[i], list[last] = list[last], nil
-			c.inflight[si] = list[:last]
-			break
-		}
-	}
+func (c *Cache) retire(e *mshr) []sim.Call {
+	c.index.Delete(c.blockNum(e.addr))
 	c.live--
+	e.gen = 0
+	clear(c.done) // release the previous completion's continuations
+	waiters := c.done[:0]
+	for i := e.head; i != nilNode; {
+		n := &c.nodes[i]
+		waiters = append(waiters, n.call)
+		next := n.next
+		*n = waiter{next: c.freeNode}
+		c.freeNode = i
+		i = next
+	}
+	c.done = waiters
+	e.nextFree = c.freeMSHRs
+	c.freeMSHRs = e
+	return waiters
 }
 
 // install merges sectors into an existing line or allocates a victim.
@@ -374,7 +467,7 @@ func (c *Cache) retire(e *mshr) {
 //simlint:hotpath
 func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) Eviction {
 	c.lruClock++
-	if ln := c.find(block); ln != nil {
+	if ln := c.line(block); ln != nil {
 		ln.valid |= mask
 		if dirty {
 			ln.dirty |= mask
@@ -382,17 +475,19 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) Evict
 		ln.lru = c.lruClock
 		return Eviction{}
 	}
-	set := c.setOf(block)
-	victim := &set[0]
+	base := c.setBase(block)
+	set := c.lines[base : base+c.cfg.Ways]
+	v := 0
 	for i := range set {
 		if set[i].valid == 0 {
-			victim = &set[i]
+			v = i
 			break
 		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+		if set[i].lru < set[v].lru {
+			v = i
 		}
 	}
+	victim := &set[v]
 	var ev Eviction
 	if victim.valid != 0 {
 		c.Stats.Evictions++
@@ -408,6 +503,7 @@ func (c *Cache) install(block geom.Addr, mask geom.SectorMask, dirty bool) Evict
 		victim.dirty = mask
 	}
 	victim.lru = c.lruClock
+	c.setTag(base + v)
 	return ev
 }
 
@@ -421,7 +517,7 @@ func (c *Cache) Insert(addr geom.Addr, mask geom.SectorMask, dirty bool) Evictio
 
 // Probe reports which of addr's sectors are present, without side effects.
 func (c *Cache) Probe(addr geom.Addr) geom.SectorMask {
-	if ln := c.find(c.blockAddr(addr)); ln != nil {
+	if ln := c.line(c.blockAddr(addr)); ln != nil {
 		return ln.valid
 	}
 	return 0
@@ -429,7 +525,7 @@ func (c *Cache) Probe(addr geom.Addr) geom.SectorMask {
 
 // DirtyMask reports which of addr's sectors are dirty.
 func (c *Cache) DirtyMask(addr geom.Addr) geom.SectorMask {
-	if ln := c.find(c.blockAddr(addr)); ln != nil {
+	if ln := c.line(c.blockAddr(addr)); ln != nil {
 		return ln.dirty
 	}
 	return 0
@@ -437,7 +533,7 @@ func (c *Cache) DirtyMask(addr geom.Addr) geom.SectorMask {
 
 // MarkDirty marks present sectors of addr dirty, reporting success.
 func (c *Cache) MarkDirty(addr geom.Addr, mask geom.SectorMask) bool {
-	ln := c.find(c.blockAddr(addr))
+	ln := c.line(c.blockAddr(addr))
 	if ln == nil || ln.valid&mask != mask {
 		return false
 	}
@@ -447,20 +543,22 @@ func (c *Cache) MarkDirty(addr geom.Addr, mask geom.SectorMask) bool {
 
 // CleanSectors clears dirty bits (after a writeback completes).
 func (c *Cache) CleanSectors(addr geom.Addr, mask geom.SectorMask) {
-	if ln := c.find(c.blockAddr(addr)); ln != nil {
+	if ln := c.line(c.blockAddr(addr)); ln != nil {
 		ln.dirty &^= mask
 	}
 }
 
 // Invalidate removes addr's block entirely, returning its dirty sectors.
 func (c *Cache) Invalidate(addr geom.Addr) geom.SectorMask {
-	block := c.blockAddr(addr)
-	if ln := c.find(block); ln != nil {
-		d := ln.dirty
-		ln.valid, ln.dirty, ln.tag = 0, 0, 0
-		return d
+	i := c.find(c.blockAddr(addr))
+	if i < 0 {
+		return 0
 	}
-	return 0
+	ln := &c.lines[i]
+	d := ln.dirty
+	ln.valid, ln.dirty, ln.tag = 0, 0, 0
+	c.setTag(i)
+	return d
 }
 
 // InflightMisses returns the number of allocated MSHRs.
@@ -472,11 +570,9 @@ func (c *Cache) FreeMSHRs() int { return c.mshrLimit - c.live }
 // WalkDirty visits every dirty (block, mask) pair; used to flush at
 // simulation end so writeback traffic is fully accounted.
 func (c *Cache) WalkDirty(fn func(block geom.Addr, dirty geom.SectorMask)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid != 0 && set[i].dirty != 0 {
-				fn(set[i].tag, set[i].dirty)
-			}
+	for i := range c.lines {
+		if ln := &c.lines[i]; ln.valid != 0 && ln.dirty != 0 {
+			fn(ln.tag, ln.dirty)
 		}
 	}
 }

@@ -136,8 +136,8 @@ func TestEvictionLRUAndDirty(t *testing.T) {
 }
 
 // A completed MSHR entry returns to the pool and is reused by the next
-// miss; a late fill through the old handle must not touch the new
-// incarnation.
+// miss, and its waiter nodes return to the slab; a late fill through the
+// old handle must not touch the new incarnation or its waiters.
 func TestRecycledMSHRIgnoresStaleFill(t *testing.T) {
 	c := small(t)
 	_, _, old := c.Lookup(0x1000, 0b0001, false, nil)
@@ -149,6 +149,7 @@ func TestRecycledMSHRIgnoresStaleFill(t *testing.T) {
 	if out != Miss || cur.e != old.e {
 		t.Fatalf("second miss: %v, want Miss on the recycled entry", out)
 	}
+	c.Lookup(0x2000, 0b0001, false, &sim.Call{Fn: func() { ran++ }})
 	ev, done, waiters := c.FillSectors(old, 0b0001, false)
 	if ev != (Eviction{}) || done || waiters != nil {
 		t.Fatalf("stale fill acted: ev=%+v done=%v waiters=%d", ev, done, len(waiters))
@@ -160,24 +161,27 @@ func TestRecycledMSHRIgnoresStaleFill(t *testing.T) {
 		t.Fatal("Fill through a stale handle returned waiters")
 	}
 	_, done, waiters = c.FillSectors(cur, 0b0001, false)
-	if !done || len(waiters) != 1 {
+	if !done || len(waiters) != 2 {
 		t.Fatalf("live fill: done=%v waiters=%d", done, len(waiters))
 	}
-	waiters[0].Run()
-	if ran != 1 {
-		t.Fatalf("live waiter ran %d times", ran)
+	for _, w := range waiters {
+		w.Run()
+	}
+	if ran != 2 {
+		t.Fatalf("live waiters ran %d times, want 2", ran)
 	}
 }
 
 // Waiters run from a completed MSHR may miss again and so reincarnate
-// the same pooled entry; what they register there must never land in
-// the waiter slice still being iterated.
+// the same pooled entry, on waiter nodes the completion just freed; what
+// they register there must never land in the waiter slice still being
+// iterated.
 func TestWaitersRegisteredDuringWaiterLoopDoNotAlias(t *testing.T) {
 	c := MustNew(Config{Name: "one", SizeBytes: 2048, BlockSize: 128, Ways: 4, MSHRs: 1})
 	var order []uint64
 	record := func(id uint64) { order = append(order, id) }
-	// Grow the entry's lists first, so a reincarnation would reuse
-	// backing arrays instead of allocating fresh ones.
+	// Grow the waiter slab and the completion buffer first, so the
+	// reincarnation reuses freed nodes instead of growing new ones.
 	for round := 0; round < 2; round++ {
 		_, _, m := c.Lookup(0x1000, 0b0001, false, nil)
 		for k := 0; k < 8; k++ {
@@ -249,6 +253,49 @@ func TestMissFillSteadyStateZeroAllocs(t *testing.T) {
 	cycle()
 	if got := testing.AllocsPerRun(20, cycle); got != 0 {
 		t.Fatalf("steady-state miss/fill allocates %.1f times per 64 misses", got)
+	}
+}
+
+// A metadata-cache geometry with hundreds of misses in flight at once,
+// each merging a varying number of waiters and some extended by a
+// second sector, allocates nothing once its MSHR chunks, index and
+// waiter slab have grown to the peak.
+func TestMergingWaitersSteadyStateZeroAllocs(t *testing.T) {
+	c := MustNew(Config{Name: "meta", SizeBytes: 4 * 8 * 128, BlockSize: 128, Ways: 8, MSHRs: 256})
+	ran := 0
+	waiter := &sim.Call{H: func(uint64) { ran++ }}
+	ms := make([]MSHR, 0, 256)
+	round := 0
+	cycle := func() {
+		round++
+		ms = ms[:0]
+		for i := 0; i < 256; i++ {
+			a := geom.Addr((round*256 + i) * 128)
+			_, _, m := c.Lookup(a, 0b0001, false, waiter)
+			for k := 0; k < i%7; k++ {
+				c.Lookup(a, 0b0001, false, waiter)
+			}
+			if i%3 == 0 {
+				c.Lookup(a+32, 0b0010, false, waiter)
+			}
+			ms = append(ms, m)
+		}
+		for i := len(ms) - 1; i >= 0; i-- {
+			_, done, waiters := c.FillSectors(ms[i], 0b0011, false)
+			if !done {
+				t.Fatal("fill of every requested sector did not complete")
+			}
+			for _, w := range waiters {
+				w.Run()
+			}
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(10, cycle); got != 0 {
+		t.Fatalf("steady-state merging misses allocate %.1f times per 256", got)
+	}
+	if c.InflightMisses() != 0 || ran == 0 {
+		t.Fatalf("inflight=%d after draining, waiters run %d", c.InflightMisses(), ran)
 	}
 }
 
@@ -334,11 +381,9 @@ func TestDirtyImpliesValidProperty(t *testing.T) {
 			}
 		}
 		okAll := true
-		for _, set := range c.sets {
-			for i := range set {
-				if set[i].dirty&^set[i].valid != 0 {
-					okAll = false
-				}
+		for _, ln := range c.lines {
+			if ln.dirty&^ln.valid != 0 {
+				okAll = false
 			}
 		}
 		return okAll

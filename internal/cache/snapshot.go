@@ -19,16 +19,14 @@ func (c *Cache) Snapshot(enc *checkpoint.Encoder) error {
 		return fmt.Errorf("cache %q: %d in-flight MSHRs: %w",
 			c.cfg.Name, c.live, checkpoint.ErrNotQuiescent)
 	}
-	enc.U32(uint32(len(c.sets)))
+	enc.U32(uint32(len(c.lines) / c.cfg.Ways))
 	enc.U32(uint32(c.cfg.Ways))
 	enc.U64(c.lruClock)
-	for _, set := range c.sets {
-		for i := range set {
-			enc.U64(uint64(set[i].tag))
-			enc.U8(uint8(set[i].valid))
-			enc.U8(uint8(set[i].dirty))
-			enc.U64(set[i].lru)
-		}
+	for i := range c.lines {
+		enc.U64(uint64(c.lines[i].tag))
+		enc.U8(uint8(c.lines[i].valid))
+		enc.U8(uint8(c.lines[i].dirty))
+		enc.U64(c.lines[i].lru)
 	}
 	enc.U64(c.Stats.Hits)
 	enc.U64(c.Stats.Misses)
@@ -49,18 +47,17 @@ func (c *Cache) Restore(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return fmt.Errorf("cache %q: %w", c.cfg.Name, err)
 	}
-	if int(nSets) != len(c.sets) || int(ways) != c.cfg.Ways {
+	if sets := len(c.lines) / c.cfg.Ways; int(nSets) != sets || int(ways) != c.cfg.Ways {
 		return fmt.Errorf("cache %q: snapshot geometry %dx%d, cache is %dx%d: %w",
-			c.cfg.Name, nSets, ways, len(c.sets), c.cfg.Ways, checkpoint.ErrMismatch)
+			c.cfg.Name, nSets, ways, sets, c.cfg.Ways, checkpoint.ErrMismatch)
 	}
 	c.lruClock = dec.U64()
-	for _, set := range c.sets {
-		for i := range set {
-			set[i].tag = geom.Addr(dec.U64())
-			set[i].valid = geom.SectorMask(dec.U8())
-			set[i].dirty = geom.SectorMask(dec.U8())
-			set[i].lru = dec.U64()
-		}
+	for i := range c.lines {
+		c.lines[i].tag = geom.Addr(dec.U64())
+		c.lines[i].valid = geom.SectorMask(dec.U8())
+		c.lines[i].dirty = geom.SectorMask(dec.U8())
+		c.lines[i].lru = dec.U64()
+		c.setTag(i)
 	}
 	c.Stats.Hits = dec.U64()
 	c.Stats.Misses = dec.U64()

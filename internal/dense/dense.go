@@ -10,7 +10,8 @@
 // All stores share the map semantics the callers relied on: a key that
 // was never written reads as the zero value, and explicit presence (where
 // it matters — materialized DRAM sectors, counter groups) is tracked by
-// an accompanying bitmap rather than by map membership.
+// an accompanying bitmap rather than by map membership. Index covers the
+// remaining small maps whose keys are too sparse for pages.
 package dense
 
 import "math/bits"

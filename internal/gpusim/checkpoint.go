@@ -148,13 +148,13 @@ func (g *GPU) RunWithCheckpoints(sink CheckpointSink) (*stats.Stats, error) {
 func (g *GPU) seedWork() {
 	if g.restoredParked != nil {
 		for _, id := range g.restoredParked {
-			g.fetchNext(g.warps[id], 0)
+			g.fetchNext(&g.warps[id], 0)
 		}
 		g.restoredParked = nil
 		return
 	}
-	for _, w := range g.warps {
-		g.fetchNext(w, 0)
+	for i := range g.warps {
+		g.fetchNext(&g.warps[i], 0)
 	}
 }
 
@@ -199,7 +199,7 @@ func (g *GPU) liveRecordsError() error {
 		return fmt.Errorf("gpusim: %d load records live: %w", n, checkpoint.ErrNotQuiescent)
 	}
 	for _, p := range g.parts {
-		if n := p.misses.Live() + p.stores.Live(); n != 0 {
+		if n := p.misses.Live(); n != 0 {
 			return fmt.Errorf("gpusim: partition %d has %d L2 request records live: %w",
 				p.id, n, checkpoint.ErrNotQuiescent)
 		}
@@ -424,15 +424,16 @@ func ResumeSnapshot(cfg Config, wl Workload, data []byte) (*GPU, error) {
 			return nil, fmt.Errorf("gpusim: snapshot has %d SMs, config %d: %w", n, len(g.sms), checkpoint.ErrMismatch)
 		}
 	}
-	for _, sm := range g.sms {
-		sm.slotFree = gd.U64()
+	for i := range g.sms {
+		g.sms[i].slotFree = gd.U64()
 	}
 	if n := gd.U32(); int(n) != len(g.warps) {
 		if gd.Err() == nil {
 			return nil, fmt.Errorf("gpusim: snapshot has %d warps, workload %d: %w", n, len(g.warps), checkpoint.ErrMismatch)
 		}
 	}
-	for _, w := range g.warps {
+	for i := range g.warps {
+		w := &g.warps[i]
 		w.active = gd.Bool()
 		w.outstanding = 0
 		w.blocked = false

@@ -230,7 +230,7 @@ func TestResumeRejectsDamage(t *testing.T) {
 // TestSnapshotRefusesLiveRecords pins the pools' quiescence invariant:
 // a live request record is in-flight state the snapshot does not carry,
 // so WriteSnapshot refuses while any pool — the SM shard's load records,
-// a partition's L2 miss and store records, its secure-memory requests —
+// a partition's L2 miss records, its secure-memory requests —
 // holds one.
 func TestSnapshotRefusesLiveRecords(t *testing.T) {
 	g, err := New(testCfg(secmem.Plutus(1<<20)), newScript(8, ckptScript()))
@@ -250,9 +250,6 @@ func TestSnapshotRefusesLiveRecords(t *testing.T) {
 	id = p.misses.Get()
 	refuse("L2 miss record")
 	p.misses.Put(id)
-	id = p.stores.Get()
-	refuse("L2 store record")
-	p.stores.Put(id)
 	p.sec.Read(0, nil)
 	refuse("secure read")
 	p.eng.Drain(0)

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/plutus-gpu/plutus/internal/cache"
@@ -21,7 +22,9 @@ import (
 // windows no wider than the interconnect latency (conservative PDES).
 // With Config.ParallelPartitions the shards execute on parallel
 // goroutines; either way the result is bit-identical, because message
-// delivery order is canonical and no state crosses shard boundaries.
+// delivery order is canonical and no mutable state crosses shard
+// boundaries (partitions call only the workload's pure MemValue and
+// StoreValue).
 type GPU struct {
 	cfg     Config
 	cluster *sim.Cluster
@@ -31,8 +34,8 @@ type GPU struct {
 	il      *geom.Interleaver
 	wl      Workload
 	parts   []*partition
-	sms     []*smCtx
-	warps   []*warpCtx
+	sms     []smCtx
+	warps   []warpCtx
 
 	// coalesceBuf is the SM shard's reusable sector-dedup scratch; see
 	// coalesce for the aliasing contract.
@@ -84,7 +87,7 @@ func (g *GPU) SetIssueTap(fn func(warp int, inst Inst)) { g.issueTap = fn }
 // partition is one memory-side shard. All fields are owned by the
 // partition's goroutine during a window; the SM side may only reach them
 // through mailbox messages, whose continuations carry their data in the
-// argument (loadArg) or by value.
+// argument (sectorArg).
 type partition struct {
 	//simlint:ignore snapsym construction wiring: the section name carries the id, New rebuilds it
 	id int
@@ -107,8 +110,6 @@ type partition struct {
 	// empty whenever a snapshot is taken.
 	//simlint:ignore snapsym request records, empty by the quiescence invariant when snapshots are taken
 	misses sim.Pool[l2Miss]
-	//simlint:ignore snapsym request records, empty by the quiescence invariant when snapshots are taken
-	stores sim.Pool[l2Store]
 	//simlint:ignore snapsym continuation targets bound by New
 	h partHandlers
 	//simlint:ignore snapsym per-call scratch behind the InitData hook
@@ -122,7 +123,7 @@ type gpuHandlers struct {
 
 // partHandlers are a partition shard's continuation targets.
 type partHandlers struct {
-	load, l2Load, respond, filled, storeL2 func(uint64)
+	load, l2Load, respond, filled, store, storeL2 func(uint64)
 }
 
 // loadRec is one in-flight load instruction on the SM shard.
@@ -138,26 +139,26 @@ type l2Miss struct {
 	need  geom.SectorMask
 }
 
-// l2Store is one store sector waiting for its L2 port slot.
-type l2Store struct {
-	local geom.Addr
-	data  [geom.SectorSize]byte
-}
-
-// loadArg packs what a load sector's continuations carry across the
-// interconnect — its partition-local sector index and the SM-side load
-// record — into one argument, since neither shard may read the other's
-// records. Records take the low loadRecBits: live loads are bounded by
-// warps × MaxPendingLoads. Sectors take the rest, 32 TiB per partition.
-func loadArg(local geom.Addr, rec uint64) uint64 {
+// sectorArg packs what a sector message's continuations carry across
+// the interconnect into one argument, since neither shard may read the
+// other's records: the partition-local sector index, and in the low
+// lowBits either the SM-side load record (loads) or the storing warp
+// (stores). Live loads are bounded by warps × MaxPendingLoads. Sectors
+// take the rest, 32 TiB per partition.
+func sectorArg(local geom.Addr, low uint64) uint64 {
 	si := uint64(local) / geom.SectorSize
-	if si >= 1<<(64-loadRecBits) || rec >= 1<<loadRecBits {
-		panic(fmt.Sprintf("gpusim: load sector %#x / record %d exceeds the continuation argument", uint64(local), rec))
+	if si >= 1<<(64-lowBits) || low >= 1<<lowBits {
+		panic(fmt.Sprintf("gpusim: sector %#x / record or warp %d exceeds the continuation argument", uint64(local), low))
 	}
-	return si<<loadRecBits | rec
+	return si<<lowBits | low
 }
 
-const loadRecBits = 24
+// argSector and argLow unpack a sectorArg.
+func argSector(arg uint64) geom.Addr { return geom.Addr(arg>>lowBits) * geom.SectorSize }
+
+func argLow(arg uint64) uint64 { return arg & (1<<lowBits - 1) }
+
+const lowBits = 24
 
 // releaseMSHRWaiters wakes as many blocked requests as there are free
 // MSHR entries (waking more would only re-park them).
@@ -218,7 +219,7 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 			eng:   shard.Engine(),
 			st:    &stats.Stats{},
 		}
-		part.h = partHandlers{load: part.load, l2Load: part.l2Load, respond: part.respond, filled: part.filled, storeL2: part.storeL2}
+		part.h = partHandlers{load: part.load, l2Load: part.l2Load, respond: part.respond, filled: part.filled, store: part.store, storeL2: part.storeL2}
 		part.l2 = cache.MustNew(cache.Config{
 			Name:      fmt.Sprintf("l2.%d", p),
 			SizeBytes: cfg.L2PerPartition,
@@ -255,14 +256,11 @@ func New(cfg Config, wl Workload) (*GPU, error) {
 		g.parts = append(g.parts, part)
 	}
 
-	g.sms = make([]*smCtx, cfg.SMs)
-	for i := range g.sms {
-		g.sms[i] = &smCtx{}
-	}
+	g.sms = make([]smCtx, cfg.SMs)
 	n := wl.Warps()
-	g.warps = make([]*warpCtx, n)
-	for w := 0; w < n; w++ {
-		g.warps[w] = &warpCtx{id: w, sm: w % cfg.SMs, active: true}
+	g.warps = make([]warpCtx, n)
+	for w := range g.warps {
+		g.warps[w] = warpCtx{id: w, sm: w % cfg.SMs, active: true}
 	}
 	g.activeWarps = n
 	return g, nil
@@ -298,7 +296,7 @@ func (g *GPU) fetch(w *warpCtx) {
 	}
 
 	// Reserve an issue slot on the warp's SM.
-	sm := g.sms[w.sm]
+	sm := &g.sms[w.sm]
 	now := g.eng.Now()
 	slotNow := uint64(now) * uint64(g.cfg.IssueWidth)
 	if sm.slotFree < slotNow {
@@ -314,7 +312,7 @@ func (g *GPU) fetch(w *warpCtx) {
 // onFetch is fetch as a continuation on warp index id.
 //
 //simlint:hotpath
-func (g *GPU) onFetch(id uint64) { g.fetch(g.warps[id]) }
+func (g *GPU) onFetch(id uint64) { g.fetch(&g.warps[id]) }
 
 // fetchNext schedules warp w's next fetch after delay cycles.
 //
@@ -327,7 +325,7 @@ func (g *GPU) fetchNext(w *warpCtx, delay sim.Cycle) {
 //
 //simlint:hotpath
 func (g *GPU) execute(id uint64) {
-	w := g.warps[id]
+	w := &g.warps[id]
 	inst := w.inst
 	w.inst = Inst{}
 	switch inst.Kind {
@@ -349,7 +347,7 @@ func (g *GPU) execute(id uint64) {
 		*g.loadRecs.At(rec) = loadRec{warp: w.id, remaining: len(sectors)}
 		for _, s := range sectors {
 			p := g.parts[g.il.Partition(s)]
-			g.smShard.Send(p.shard, g.xbar, sim.Call{H: p.h.load, Arg: loadArg(g.il.LocalAddr(s), rec)})
+			g.smShard.Send(p.shard, g.xbar, sim.Call{H: p.h.load, Arg: sectorArg(g.il.LocalAddr(s), rec)})
 		}
 		// Warps tolerate several loads in flight (intra-warp MLP); they
 		// stall only at the MLP limit.
@@ -361,7 +359,8 @@ func (g *GPU) execute(id uint64) {
 	case Store:
 		g.stores++
 		for _, s := range g.coalesce(inst.Addrs) {
-			g.routeStore(w, s)
+			p := g.parts[g.il.Partition(s)]
+			g.smShard.Send(p.shard, g.xbar, sim.Call{H: p.h.store, Arg: sectorArg(g.il.LocalAddr(s), uint64(w.id))})
 		}
 		// Stores retire immediately (write-back hierarchy absorbs them).
 		g.fetchNext(w, 1)
@@ -378,7 +377,7 @@ func (g *GPU) loadDone(rec uint64) {
 	if lr.remaining != 0 {
 		return
 	}
-	w := g.warps[lr.warp]
+	w := &g.warps[lr.warp]
 	g.loadRecs.Put(rec)
 	w.outstanding--
 	if w.blocked {
@@ -419,41 +418,29 @@ func (g *GPU) coalesce(addrs []geom.Addr) []geom.Addr {
 	return out
 }
 
-// routeStore sends a store across the interconnect, materializing the
-// sector's store data from the workload on the SM side (Workload.Next
-// and StoreValue are only ever called from the SM shard). The data
-// travels by value inside the message: nothing the SM shard owns may be
-// read on the partition's goroutine.
-func (g *GPU) routeStore(w *warpCtx, sector geom.Addr) {
-	p := g.parts[g.il.Partition(sector)]
-	local := g.il.LocalAddr(sector)
-	data := g.storeData(w.id, sector)
-	g.smShard.Send(p.shard, g.xbar, sim.Call{Fn: func() { p.store(local, data) }})
-}
-
-// storeData returns the bytes warp stores to sector.
-func (g *GPU) storeData(warp int, sector geom.Addr) (data [geom.SectorSize]byte) {
-	for k := 0; k < geom.SectorSize/4; k++ {
-		v := g.wl.StoreValue(warp, sector+geom.Addr(k*4))
-		data[k*4] = byte(v)
-		data[k*4+1] = byte(v >> 8)
-		data[k*4+2] = byte(v >> 16)
-		data[k*4+3] = byte(v >> 24)
-	}
-	return data
-}
-
-// load services a load sector at the partition's L2 (arg from loadArg).
+// load queues a load sector for the partition's L2 port (arg from
+// sectorArg, carrying the SM-side load record).
 //
 //simlint:hotpath
-func (p *partition) load(arg uint64) {
+func (p *partition) load(arg uint64) { p.atPort(p.h.l2Load, arg) }
+
+// store queues a store sector for the partition's L2 port (arg from
+// sectorArg, carrying the storing warp).
+//
+//simlint:hotpath
+func (p *partition) store(arg uint64) { p.atPort(p.h.storeL2, arg) }
+
+// atPort runs h(arg) at the L2 bank's next free single-issue slot.
+//
+//simlint:hotpath
+func (p *partition) atPort(h func(uint64), arg uint64) {
 	now := p.eng.Now()
 	t := now
 	if p.l2Free > t {
 		t = p.l2Free
 	}
 	p.l2Free = t + 1
-	p.eng.ScheduleCall(t-now, sim.Call{H: p.h.l2Load, Arg: arg})
+	p.eng.ScheduleCall(t-now, sim.Call{H: h, Arg: arg})
 }
 
 // l2Load looks a load sector up in the L2 once it has its port slot. A
@@ -461,8 +448,8 @@ func (p *partition) load(arg uint64) {
 //
 //simlint:hotpath
 func (p *partition) l2Load(arg uint64) {
-	local := geom.Addr(arg>>loadRecBits) * geom.SectorSize
-	respond := sim.Call{H: p.h.respond, Arg: arg & (1<<loadRecBits - 1)}
+	local := argSector(arg)
+	respond := sim.Call{H: p.h.respond, Arg: argLow(arg)}
 	out, need, m := p.l2.Lookup(local, geom.MaskFor(local), false, &respond)
 	switch out {
 	case cache.Hit:
@@ -508,26 +495,14 @@ func (p *partition) filled(id uint64) {
 	}
 }
 
-// store queues a store sector for the partition's L2 port.
-func (p *partition) store(local geom.Addr, data [geom.SectorSize]byte) {
-	now := p.eng.Now()
-	t := now
-	if p.l2Free > t {
-		t = p.l2Free
-	}
-	p.l2Free = t + 1
-	id := p.stores.Get()
-	*p.stores.At(id) = l2Store{local: local, data: data}
-	p.eng.ScheduleCall(t-now, sim.Call{H: p.h.storeL2, Arg: id})
-}
-
-// storeL2 services store record id: write-allocate without fetch
-// (coalesced GPU stores cover whole sectors).
+// storeL2 services a store sector once it has its port slot:
+// write-allocate without fetch (coalesced GPU stores cover whole
+// sectors). The stored bytes are computed here from Workload.StoreValue,
+// which is pure, so the message carries only (sector, warp).
 //
 //simlint:hotpath
-func (p *partition) storeL2(id uint64) {
-	st := p.stores.At(id)
-	local := st.local
+func (p *partition) storeL2(arg uint64) {
+	local := argSector(arg)
 	mask := geom.MaskFor(local)
 	// Stores must not allocate MSHRs (nothing will ever fill them):
 	// hit → mark dirty in place; miss → write-allocate without fetch.
@@ -538,8 +513,12 @@ func (p *partition) storeL2(id uint64) {
 		p.l2.Stats.Misses++
 		p.handleL2Eviction(p.l2.Insert(local, mask, true))
 	}
-	copy(p.l2data.Put(uint64(geom.SectorAddr(local))/geom.SectorSize), st.data[:])
-	p.stores.Put(id)
+	data := p.l2data.Put(uint64(local) / geom.SectorSize)
+	global := p.gpu.il.GlobalAddr(p.id, local)
+	warp := int(argLow(arg))
+	for k := 0; k < geom.SectorSize/4; k++ {
+		binary.LittleEndian.PutUint32(data[k*4:], p.gpu.wl.StoreValue(warp, global+geom.Addr(k*4)))
+	}
 }
 
 // handleL2Eviction writes back the dirty sectors of an evicted L2 block
@@ -583,8 +562,8 @@ func (p *partition) flushL2() {
 // (diagnostic aid; not part of the stable API).
 func (g *GPU) RunDebug(progress func(events, now, issued uint64, active int)) *stats.Stats {
 	defer g.cluster.Close()
-	for _, w := range g.warps {
-		g.fetchNext(w, 0)
+	for i := range g.warps {
+		g.fetchNext(&g.warps[i], 0)
 	}
 	var n, lastReport uint64
 	for {

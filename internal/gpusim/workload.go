@@ -22,7 +22,9 @@ type Inst struct {
 	// Cycles is the duration of a Compute instruction (min 1).
 	Cycles int
 	// Addrs are the per-thread byte addresses of a Load/Store; the
-	// simulator coalesces them into 32 B sector requests.
+	// simulator coalesces them into 32 B sector requests. The slice may
+	// alias a buffer the workload reuses: it is valid until the same
+	// warp's next Next call, so consumers that keep it must copy it.
 	Addrs []geom.Addr
 }
 
@@ -30,12 +32,18 @@ type Inst struct {
 // benchmark. Implementations live in the workload package; the interface
 // is defined here so the simulator has no dependency on them.
 //
-// Concurrency contract: Next and StoreValue are only ever called from
-// the SM shard and may keep per-warp state, but MemValue must be safe
-// for concurrent calls and depend only on its argument — with
+// Concurrency contract: Next is only ever called from the SM shard and
+// may keep per-warp state. MemValue and StoreValue must be pure: safe
+// for concurrent calls and dependent only on their arguments. With
 // Config.ParallelPartitions every partition shard lazily materializes
-// its memory image through MemValue from its own goroutine. All
-// implementations in this repo derive MemValue from a pure hash.
+// its memory image through MemValue, and computes the bytes of each
+// store it receives through StoreValue, from its own goroutine; a store
+// message carries only the warp and the sector. All implementations in
+// this repo derive both from a pure hash (valmodel.Model).
+//
+// Aliasing contract: Inst.Addrs returned by Next(w) stays valid until
+// the next Next(w), which lets a workload reuse one address buffer per
+// warp. The simulator consumes it before that warp fetches again.
 type Workload interface {
 	// Name identifies the benchmark in reports.
 	Name() string
@@ -49,5 +57,7 @@ type Workload interface {
 	// It must be pure (see the interface comment).
 	MemValue(addr geom.Addr) uint32
 	// StoreValue gives the value warp w stores at addr (4-byte aligned).
+	// It must be pure (see the interface comment): the same arguments
+	// give the same value whenever, and on whichever shard, it is called.
 	StoreValue(w int, addr geom.Addr) uint32
 }

@@ -21,6 +21,13 @@
 // exempt: panic strings escape by construction and a panicking hot
 // path is already off the fast path.
 //
+// The proof is "no escapes", not "no allocations": escape analysis
+// decides where values live, not how often a slice grows, so an append
+// that regrows its backing array allocates without any -gcflags=-m
+// record. The dynamic complement is the repository root's
+// TestFullRunAllocationBudget, which counts heap allocations per
+// simulated instruction over whole runs.
+//
 // The annotation is the opt-in; packages with no annotated function
 // are skipped without invoking the compiler. Functions in _test.go
 // files cannot be annotated (go build does not compile them); the

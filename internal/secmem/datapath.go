@@ -276,7 +276,7 @@ func (e *Engine) onDecrypted(id uint64) {
 	}
 	r := e.reqs.At(id)
 	i := e.sectorIdx(r.local)
-	e.plaintextInto(r.pt[:], r.local)
+	fresh := e.plaintextInto(r.pt[:], r.local)
 	r.tainted = e.taintData.Get(i)
 	if r.tainted {
 		e.st.Sec.TaintedReads++
@@ -310,9 +310,10 @@ func (e *Engine) onDecrypted(id uint64) {
 	// outcome is determined by the sector's state as of decrypt time (a
 	// concurrent writeback committing while the MAC block is in flight
 	// must not affect this read's result), so snapshot it now; the fetch
-	// and MAC-engine latency that follow are purely timing.
+	// and MAC-engine latency that follow are purely timing. A sector
+	// this read touched first holds the MAC just computed for it.
 	r.stale = e.macStale.Get(i)
-	r.mismatch = !r.stale && e.currentMAC(r.local) != e.macs.Get(i)
+	r.mismatch = !r.stale && !fresh && e.currentMAC(r.local) != e.macs.Get(i)
 	ma := e.macAddrOf(i)
 	e.fetchMeta(e.macCache, ma, e.macCache.MaskFor(ma), stats.MAC, sim.Call{H: e.h.macFetched, Arg: id})
 }

@@ -557,50 +557,65 @@ func (e *Engine) setMAC(i uint64, mac uint64) {
 // returned slice aliases the dense image, so attack primitives mutate the
 // stored copy in place.
 func (e *Engine) materialize(local geom.Addr) []byte {
+	var pt [geom.SectorSize]byte
+	ct, _ := e.materializeInto(local, pt[:])
+	return ct
+}
+
+// materializeInto is materialize that, when this call creates the
+// sector, leaves the plaintext it stored in pt (one sector long) and
+// reports fresh.
+func (e *Engine) materializeInto(local geom.Addr, pt []byte) (ct []byte, fresh bool) {
 	local = geom.SectorAddr(local)
 	i := e.sectorIdx(local)
 	if e.cfg.Verifier == VerifierShares {
-		return e.ssmShare0(i)
+		return e.ssmShare0(i), false
 	}
 	if ct, ok := e.mem.Lookup(i); ok {
-		return ct
+		return ct, false
 	}
 	dst := e.mem.Put(i)
-	var pt [geom.SectorSize]byte
+	clear(pt)
 	if e.InitData != nil {
-		copy(pt[:], e.InitData(local))
+		copy(pt, e.InitData(local))
 	}
 	if e.cfg.Verifier == VerifierNone {
-		copy(dst, pt[:])
-		return dst
+		copy(dst, pt)
+		return dst, true
 	}
 	ctr := e.counterOf(i)
-	if err := e.enc.EncryptInto(dst, pt[:], uint64(local), ctr); err != nil {
+	if err := e.enc.EncryptInto(dst, pt, uint64(local), ctr); err != nil {
 		panic(fmt.Sprintf("secmem: encrypt: %v", err))
 	}
 	e.setMAC(i, siphash.Truncate(siphash.SumTagged(e.macKey, dst, uint64(local), ctr), e.cfg.MACBytes))
-	return dst
+	return dst, true
 }
 
 // plaintextInto decrypts the current DRAM image of sector local into
-// dst (one sector long).
+// dst (one sector long). On the sector's first touch it reports fresh
+// and skips the decrypt: dst then holds the plaintext just encrypted,
+// and the stored MAC matches the new ciphertext by construction.
 //
 //simlint:hotpath
-func (e *Engine) plaintextInto(dst []byte, local geom.Addr) {
+func (e *Engine) plaintextInto(dst []byte, local geom.Addr) (fresh bool) {
 	local = geom.SectorAddr(local)
 	if e.cfg.Verifier == VerifierShares {
 		e.ssmReconstruct(dst, e.sectorIdx(local))
-		return
+		return false
 	}
-	ct := e.materialize(local)
+	ct, fresh := e.materializeInto(local, dst)
+	if fresh {
+		return true
+	}
 	if e.cfg.Verifier == VerifierNone {
 		copy(dst, ct)
-		return
+		return false
 	}
 	i := e.sectorIdx(local)
 	if err := e.enc.DecryptInto(dst, ct, uint64(local), e.counterOf(i)); err != nil {
 		panic(fmt.Sprintf("secmem: decrypt: %v", err))
 	}
+	return false
 }
 
 // storeCiphertext encrypts plaintext pt for sector local under its current

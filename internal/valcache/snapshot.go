@@ -13,18 +13,22 @@ import (
 // least-recent first, so Restore can rebuild the intrusive list
 // identically — future evictions then pick the same victims.
 func (c *Cache) Snapshot(enc *checkpoint.Encoder) error {
-	var pinnedKeys []uint32
-	for k, i := range c.index {
-		if c.slots[i].pinned {
-			pinnedKeys = append(pinnedKeys, k)
+	// Pinned slots the index points at: a snapshot restored with a
+	// duplicate key leaves the earlier slot unreachable.
+	var pinned []int32
+	for i := range c.slots {
+		if !c.slots[i].pinned {
+			continue
+		}
+		if j, ok := c.lookup(c.slots[i].key); ok && j == int32(i) {
+			pinned = append(pinned, int32(i))
 		}
 	}
-	// Collect-then-sort: iteration order above cannot leak.
-	sort.Slice(pinnedKeys, func(i, j int) bool { return pinnedKeys[i] < pinnedKeys[j] })
-	enc.U32(uint32(len(pinnedKeys)))
-	for _, k := range pinnedKeys {
-		enc.U32(k)
-		enc.U8(c.slots[c.index[k]].use)
+	sort.Slice(pinned, func(a, b int) bool { return c.slots[pinned[a]].key < c.slots[pinned[b]].key })
+	enc.U32(uint32(len(pinned)))
+	for _, i := range pinned {
+		enc.U32(c.slots[i].key)
+		enc.U8(c.slots[i].use)
 	}
 	enc.U32(uint32(c.transient))
 	for i := c.lruTail; i != nilSlot; i = c.slots[i].prev {
@@ -51,7 +55,6 @@ func (c *Cache) Restore(dec *checkpoint.Decoder) error {
 		return fmt.Errorf("valcache: snapshot has %d pinned entries, capacity %d: %w",
 			nPinned, c.pinCap, checkpoint.ErrMismatch)
 	}
-	c.index = make(map[uint32]int32, c.cfg.Entries)
 	c.resetSlots()
 	for i := uint32(0); i < nPinned && dec.Err() == nil; i++ {
 		k := dec.U32()

@@ -22,6 +22,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"github.com/plutus-gpu/plutus/internal/dense"
 )
 
 // Config describes one partition's value cache.
@@ -88,17 +90,20 @@ type entry struct {
 }
 
 // Cache is one partition's value cache. Entries live in a flat slot
-// array sized at capacity, linked by slot index, with a pointer-free
-// key→slot map on top: the steady state (probe, evict, insert) touches
-// no heap allocation at all, which matters because every 32-bit value of
-// every verified or observed sector passes through here.
+// array sized at capacity, linked by slot index, with a key→slot
+// dense.Index on top, reserved at twice the capacity so it never grows:
+// the steady state (probe, evict, insert) touches no heap allocation and
+// no map, which matters because every 32-bit value of every verified or
+// observed sector passes through here.
 type Cache struct {
+	//simlint:ignore snapsym configuration; the restoring side builds the cache from the same Config
 	cfg Config
 	//simlint:ignore snapsym Restore rebuilds the slot array entry-by-entry through resetSlots/alloc
 	slots []entry
 	//simlint:ignore snapsym free-slot stack is derived; resetSlots refills it before Restore replays entries
-	free      []int32 // free slot stack
-	index     map[uint32]int32
+	free []int32 // free slot stack
+	//simlint:ignore snapsym key index over the slots; resetSlots empties it before Restore replays entries
+	index     dense.Index
 	pinned    int
 	pinCap    int
 	lruHead   int32 // most recent
@@ -116,19 +121,20 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:     cfg,
-		index:   make(map[uint32]int32, cfg.Entries),
 		pinCap:  int(float64(cfg.Entries) * cfg.PinnedFrac),
 		lruHead: nilSlot,
 		lruTail: nilSlot,
 	}
+	c.index.Reserve(cfg.Entries)
 	c.resetSlots()
 	return c, nil
 }
 
-// resetSlots (re)builds the empty slot array and free stack, pushed in
-// reverse so slot 0 is handed out first.
+// resetSlots (re)builds the empty slot array, key index and free stack,
+// the stack pushed in reverse so slot 0 is handed out first.
 func (c *Cache) resetSlots() {
 	c.slots = make([]entry, c.cfg.Entries)
+	c.index.Reset()
 	c.free = c.free[:0]
 	for i := c.cfg.Entries - 1; i >= 0; i-- {
 		c.free = append(c.free, int32(i))
@@ -142,9 +148,14 @@ func (c *Cache) alloc(k uint32, u uint8, pinned bool) int32 {
 	i := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
 	c.slots[i] = entry{key: k, use: u, pinned: pinned, prev: nilSlot, next: nilSlot}
-	c.index[k] = i
+	c.index.Put(uint64(k), i)
 	return i
 }
+
+// lookup returns the slot holding key k.
+//
+//simlint:hotpath
+func (c *Cache) lookup(k uint32) (int32, bool) { return c.index.Get(uint64(k)) }
 
 // MustNew is New for static configuration.
 func MustNew(cfg Config) *Cache {
@@ -159,7 +170,7 @@ func MustNew(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Len returns the number of cached values.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.index.Len() }
 
 // PinnedLen returns the number of pinned values.
 func (c *Cache) PinnedLen() int { return c.pinned }
@@ -229,7 +240,7 @@ func (c *Cache) touch(i int32) {
 //simlint:hotpath
 func (c *Cache) Probe(v uint32) (hit, pinned bool) {
 	c.Probes++
-	i, ok := c.index[c.Key(v)]
+	i, ok := c.lookup(c.Key(v))
 	if !ok {
 		return false, false
 	}
@@ -243,7 +254,7 @@ func (c *Cache) Probe(v uint32) (hit, pinned bool) {
 
 // Contains reports presence without any side effects (for tests/analysis).
 func (c *Cache) Contains(v uint32) bool {
-	_, ok := c.index[c.Key(v)]
+	_, ok := c.lookup(c.Key(v))
 	return ok
 }
 
@@ -254,7 +265,7 @@ func (c *Cache) Contains(v uint32) bool {
 //simlint:hotpath
 func (c *Cache) Insert(v uint32) {
 	k := c.Key(v)
-	if i, ok := c.index[k]; ok {
+	if i, ok := c.lookup(k); ok {
 		c.touch(i)
 		return
 	}
@@ -268,7 +279,7 @@ func (c *Cache) Insert(v uint32) {
 			return
 		}
 		c.listRemove(victim)
-		delete(c.index, c.slots[victim].key)
+		c.index.Delete(uint64(c.slots[victim].key))
 		c.free = append(c.free, victim)
 		c.transient--
 		c.Evictions++
@@ -351,7 +362,7 @@ func (c *Cache) WriteGuaranteed(data []byte) bool {
 		pinnedHits := 0
 		for k := 0; k < ValuesPerUnit; k++ {
 			v := binary.LittleEndian.Uint32(data[off+k*4:])
-			if i, ok := c.index[c.Key(v)]; ok && c.slots[i].pinned {
+			if i, ok := c.lookup(c.Key(v)); ok && c.slots[i].pinned {
 				pinnedHits++
 			}
 		}

@@ -293,3 +293,48 @@ func TestStatsCounting(t *testing.T) {
 		t.Errorf("stats: probes=%d hits=%d inserts=%d", c.Probes, c.Hits, c.Inserts)
 	}
 }
+
+// The key index agrees with the slot array after every operation of a
+// long random run with heavy eviction: each cached entry's key finds
+// its slot, the index holds exactly the cached keys, and evicted keys
+// are gone.
+func TestIndexMatchesSlots(t *testing.T) {
+	cfg := Config{Entries: 64, PinnedFrac: 0.25, MaskBits: 0, PinThreshold: 6, MatchThreshold: 3}
+	c := MustNew(cfg)
+	rng := rand.New(rand.NewSource(3))
+	cached := func() map[uint32]int32 {
+		live := map[uint32]int32{}
+		for i := c.lruHead; i != nilSlot; i = c.slots[i].next {
+			live[c.slots[i].key] = i
+		}
+		for i, e := range c.slots {
+			if e.pinned {
+				live[e.key] = int32(i)
+			}
+		}
+		return live
+	}
+	for op := 0; op < 20000; op++ {
+		v := uint32(rng.Intn(200))
+		if rng.Intn(3) == 0 {
+			v = rng.Uint32()
+		}
+		if rng.Intn(2) == 0 {
+			c.Insert(v)
+		} else {
+			c.Probe(v)
+		}
+		live := cached()
+		if c.Len() != len(live) {
+			t.Fatalf("op %d: index holds %d keys, cache %d", op, c.Len(), len(live))
+		}
+		for k, want := range live {
+			if got, ok := c.lookup(k); !ok || got != want {
+				t.Fatalf("op %d: key %#x found at slot %d (%v), cached at %d", op, k, got, ok, want)
+			}
+		}
+		if _, isCached := live[v]; c.Contains(v) != isCached {
+			t.Fatalf("op %d: Contains(%#x) = %v, cached %v", op, v, c.Contains(v), isCached)
+		}
+	}
+}

@@ -136,6 +136,9 @@ type Bench struct {
 	seed  uint64
 	model valmodel.Model
 	step  []uint64 // per-warp instruction counter
+	// addrBuf holds each warp's ThreadsPerAccess-long address buffer,
+	// reused by its every memory instruction (see gpusim.Inst.Addrs).
+	addrBuf []geom.Addr
 }
 
 // NewBench instantiates spec with a name-derived seed.
@@ -167,7 +170,11 @@ func NewBenchSeeded(spec Spec, seed uint64) (*Bench, error) {
 		PoolSize: uint32(p.PoolSize),
 		Jitter:   p.Jitter,
 	}
-	return &Bench{spec: spec, seed: s, model: m, step: make([]uint64, spec.Warps)}, nil
+	return &Bench{
+		spec: spec, seed: s, model: m,
+		step:    make([]uint64, spec.Warps),
+		addrBuf: make([]geom.Addr, spec.Warps*spec.ThreadsPerAccess),
+	}, nil
 }
 
 // Spec returns the benchmark's parameters.
@@ -186,7 +193,8 @@ func (b *Bench) Reset() {
 	}
 }
 
-// Next implements gpusim.Workload.
+// Next implements gpusim.Workload. A memory instruction's Addrs alias
+// warp w's buffer, valid until w's next Next.
 func (b *Bench) Next(w int) (gpusim.Inst, bool) {
 	if b.step[w] >= uint64(b.spec.InstsPerWarp) {
 		return gpusim.Inst{}, false
@@ -206,12 +214,13 @@ func (b *Bench) Next(w int) (gpusim.Inst, bool) {
 	return gpusim.Inst{Kind: kind, Addrs: b.addrs(w, step, isLoad)}, true
 }
 
-// addrs generates the per-thread addresses of one memory instruction.
+// addrs generates the per-thread addresses of one memory instruction
+// into warp w's buffer.
 func (b *Bench) addrs(w int, step uint64, isLoad bool) []geom.Addr {
 	s := b.spec
 	fp := s.Footprint &^ (geom.BlockSize - 1)
 	n := s.ThreadsPerAccess
-	out := make([]geom.Addr, 0, n)
+	out := b.addrBuf[w*n : w*n : (w+1)*n]
 
 	switch s.Pattern {
 	case Streaming:
